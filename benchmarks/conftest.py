@@ -1,6 +1,6 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one experiment (see DESIGN.md §4) exactly once —
+Each benchmark regenerates one experiment (see the README's experiment index) exactly once —
 these are macro-benchmarks of whole simulated executions, so
 ``benchmark.pedantic(..., rounds=1, iterations=1)`` is used instead of
 letting pytest-benchmark calibrate thousands of iterations.  The regenerated

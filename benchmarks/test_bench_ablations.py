@@ -1,4 +1,4 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks for two design choices of the paper's algorithms.
 
 * Original vs. modified B-Consensus: the Section 5 modification (round
   jumping + current-round-only retransmission) should not be slower and

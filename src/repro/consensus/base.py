@@ -109,6 +109,12 @@ class ConsensusProcess(Process):
         """Read a protocol field persisted by :meth:`persist`."""
         return self.ctx.storage.get(f"proto:{key}", default)
 
+    def recall_prefixed(self, prefix: str) -> Dict[str, Any]:
+        """Every persisted protocol field whose key starts with ``prefix``, by key suffix."""
+        storage = self.ctx.storage
+        full = f"proto:{prefix}"
+        return {key[len(full):]: storage.get(key) for key in storage if key.startswith(full)}
+
 
 class ProtocolBuilder(abc.ABC):
     """Constructs protocol processes for the harness.

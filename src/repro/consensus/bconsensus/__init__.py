@@ -10,9 +10,8 @@ round they hear about, and retransmit only current-round messages.
 
 Because the EDCC 2002 paper's exact pseudo-code is not reproduced in the DSN
 paper, the implementation here is a faithful-in-spirit reconstruction with a
-provably safe voting rule (vote-or-abstain, documented in
-:mod:`repro.consensus.bconsensus.common`); DESIGN.md records this
-substitution.
+provably safe voting rule (vote-or-abstain), and
+:mod:`repro.consensus.bconsensus.common` documents this substitution.
 """
 
 from repro.consensus.bconsensus.messages import ABSTAIN, BDecision, FirstPayload, Vote

@@ -2,7 +2,7 @@
 
 The paper contains no numbered tables or figures — its evaluation is the
 timing analysis of Sections 2–5.  Each function here regenerates one of the
-analysis' claims as a measured table (see DESIGN.md for the index), by
+analysis' claims as a measured table (the experiment index is in README.md), by
 declaring an :class:`~repro.harness.experiment.ExperimentSpec` over the
 workloads in :mod:`repro.workloads` (resolved by registry name) and the
 protocols in :mod:`repro.core` / :mod:`repro.consensus`, executing it

@@ -101,6 +101,8 @@ class Simulator:
         self._time = 0.0
         self._started = False
         self._stop_requested = False
+        # Pids run_until_decided still waits for (None outside that call).
+        self._awaited: Optional[set] = None
         self.events_processed = 0
 
         self.decisions: Dict[int, DecisionRecord] = {}
@@ -220,6 +222,11 @@ class Simulator:
         self.decisions.setdefault(pid, record)
         if self.trace.enabled:
             self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
+        awaited = self._awaited
+        if awaited and pid in awaited:
+            awaited.discard(pid)
+            if not awaited:
+                self.request_stop()
 
     def decided_pids(self) -> List[int]:
         return sorted(self.decisions)
@@ -317,12 +324,22 @@ class Simulator:
         pids: Optional[Iterable[int]] = None,
         until: Optional[float] = None,
     ) -> float:
-        """Run until every pid in ``pids`` has decided (default: all processes)."""
-        targets = set(pids) if pids is not None else set(self.nodes)
-        return self.run(
-            until=until,
-            stop_when=lambda sim: targets.issubset(sim.decisions.keys()),
-        )
+        """Run until every pid in ``pids`` has decided (default: all processes).
+
+        The stop is event-driven: :meth:`record_decision` asks the loop to
+        stop after the event in which the last awaited pid decides.  Returns
+        at once if every pid has already decided.
+        """
+        self.start()
+        awaited = set(pids) if pids is not None else set(self.nodes)
+        awaited.difference_update(self.decisions)
+        if not awaited:
+            return self._time
+        self._awaited = awaited
+        try:
+            return self.run(until=until)
+        finally:
+            self._awaited = None
 
     # -- helpers ---------------------------------------------------------------------------
     def _node(self, pid: int) -> Node:

@@ -57,7 +57,9 @@ class MultiPhase1b(Message):
 
     ``votes`` maps slot → (voted ballot, voted value); ``decided`` maps
     slot → decided command.  Both are tuples of pairs (not dicts) so the
-    message stays hashable/frozen.
+    message stays hashable/frozen, sorted by slot without duplicates: the
+    receiver compares ``decided`` with its own log by length when both hold
+    a contiguous prefix of slots.
     """
 
     kind = "mphase1b"

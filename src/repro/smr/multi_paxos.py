@@ -27,7 +27,7 @@ idempotent under such duplicates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.consensus.base import ConsensusProcess, ProtocolBuilder
 from repro.consensus.quorum import ValueQuorum
@@ -39,7 +39,7 @@ from repro.core.sessions import (
     session_of,
 )
 from repro.net.message import Message
-from repro.smr.log import ReplicatedLog
+from repro.smr.log import ReplicatedLog, command_id_of
 from repro.smr.messages import (
     CommandRequest,
     MultiPhase1a,
@@ -62,9 +62,14 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     KEEPALIVE_TIMER = "keepalive"
     SUBMIT_TIMER_PREFIX = "submit-"
 
-    def __init__(self, schedule: Optional[List[Tuple[float, str, Any]]] = None) -> None:
+    def __init__(
+        self,
+        schedule: Optional[List[Tuple[float, str, Any]]] = None,
+        builder: Optional["MultiPaxosSmrBuilder"] = None,
+    ) -> None:
         super().__init__()
         self._schedule = list(schedule or [])
+        self._builder = builder
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -75,22 +80,35 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         self._sent_recently = False
         self._promises: Dict[int, Dict[int, MultiPhase1b]] = {}
         self._accept_votes = ValueQuorum(self.quorum)
-        self._proposed: Dict[Tuple[int, int], Any] = {}  # (ballot, slot) -> value
+        self._proposed_ids: set = set()  # command ids this incarnation proposed
         self._established_ballot: Optional[int] = None
         self._next_slot = 0
         self._pending: Dict[str, Any] = {}  # command_id -> command awaiting a decision
         self._seen_requests: set[str] = set()
 
-        # Durable state.
+        # Durable state: the ballot, one key per accepted slot, one per decided slot.
         self.mbal: int = self.recall("mbal", initial_ballot(self.pid, n))
-        self.accepted: Dict[int, Tuple[int, Any]] = self.recall("accepted", {})
-        self.log = ReplicatedLog.restore(self.recall("log", {}))
+        self.accepted: Dict[int, Tuple[int, Any]] = {
+            int(slot): vote for slot, vote in self.recall_prefixed("accepted/").items()
+        }
+        self.log = ReplicatedLog.restore(self.recall_prefixed("log/"))
+        # The accepted votes of undecided slots: what a promise reports.
+        self._open_votes = {
+            slot: vote for slot, vote in self.accepted.items() if slot not in self.log
+        }
+        if self._builder is not None:
+            for _, value in self.log:
+                self._builder.count_learned(self.pid, command_id_of(value))
 
         self.ctx.emit("session_enter", session=self.session, ballot=self.mbal, via="start")
         self._broadcast_phase1a()
         self._arm_session_timer()
         self._arm_keepalive()
         self._schedule_submissions()
+
+    def on_stop(self) -> None:
+        if self._builder is not None:
+            self._builder.count_crashed(self.pid)
 
     @property
     def session(self) -> int:
@@ -148,7 +166,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         undecided = {
             command_id: command
             for command_id, command in self._pending.items()
-            if not self._already_logged(command_id)
+            if not self.log.has_command(command_id)
         }
         if not undecided:
             return
@@ -164,20 +182,8 @@ class MultiPaxosSmrProcess(ConsensusProcess):
                     owner,
                 )
 
-    def _already_logged(self, command_id: str) -> bool:
-        for _, value in self.log:
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == command_id:
-                return True
-        return False
-
-    def _already_proposed(self, command_id: str) -> bool:
-        for value in self._proposed.values():
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == command_id:
-                return True
-        return False
-
     def _assign(self, command_id: str, command: Any) -> None:
-        if self._already_logged(command_id) or self._already_proposed(command_id):
+        if self.log.has_command(command_id) or command_id in self._proposed_ids:
             return
         slot = self._next_slot
         self._next_slot += 1
@@ -227,28 +233,22 @@ class MultiPaxosSmrProcess(ConsensusProcess):
             self._advance_ballot(message.mbal, via="phase1a")
         if message.mbal >= self.mbal:
             owner = owner_of(message.mbal, self.n)
-            votes = tuple(
-                (slot, (voted_bal, voted_val))
-                for slot, (voted_bal, voted_val) in sorted(self.accepted.items())
-                if slot not in self.log
-            )
-            decided = tuple(sorted(self.log.snapshot().items()))
+            votes = tuple(sorted(self._open_votes.items()))
             self.ctx.send(
-                MultiPhase1b(mbal=message.mbal, votes=votes, decided=decided), owner
+                MultiPhase1b(mbal=message.mbal, votes=votes, decided=self.log.items()), owner
             )
 
     def _on_phase1b(self, message: MultiPhase1b, sender: int) -> None:
         # Decided entries are useful regardless of the ballot.
-        for slot, value in message.decided_dict().items():
+        for slot, value in self.log.unknown_entries(message.decided):
             self._learn(slot, value)
         if owner_of(message.mbal, self.n) != self.pid or message.mbal != self.mbal:
             return
         # Targeted catch-up: the promise shows which decisions the sender is
         # missing (a replica that restarted after stabilization, say); push
         # them directly so it converges within O(δ) of its restart.
-        senders_log = message.decided_dict()
-        for slot, value in self.log:
-            if slot not in senders_log and sender != self.pid:
+        if sender != self.pid:
+            for slot, value in self.log.entries_missing_from(message.decided):
                 self.ctx.send(SlotDecision(slot=slot, value=value), sender)
         promises = self._promises.setdefault(message.mbal, {})
         promises.setdefault(sender, message)
@@ -285,7 +285,9 @@ class MultiPaxosSmrProcess(ConsensusProcess):
 
     # -- phase 2 --------------------------------------------------------------------
     def _send_phase2a(self, ballot: int, slot: int, value: Any) -> None:
-        self._proposed[(ballot, slot)] = value
+        command_id = command_id_of(value)
+        if command_id is not None:
+            self._proposed_ids.add(command_id)
         self._sent_recently = True
         self.ctx.emit("phase2a", ballot=ballot, slot=slot)
         self.ctx.broadcast(MultiPhase2a(mbal=ballot, slot=slot, value=value))
@@ -295,8 +297,11 @@ class MultiPaxosSmrProcess(ConsensusProcess):
             return
         if message.mbal > self.mbal:
             self._advance_ballot(message.mbal, via="phase2a")
-        self.accepted[message.slot] = (message.mbal, message.value)
-        self._persist()
+        vote = (message.mbal, message.value)
+        self.accepted[message.slot] = vote
+        if message.slot not in self.log:
+            self._open_votes[message.slot] = vote
+        self.persist(**{f"accepted/{message.slot}": vote})
         self.ctx.broadcast(
             MultiPhase2b(mbal=message.mbal, slot=message.slot, value=message.value)
         )
@@ -312,11 +317,14 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     def _learn(self, slot: int, value: Any) -> None:
         if not self.log.learn(slot, value):
             return
-        self._persist()
-        command_id = value[0] if isinstance(value, tuple) and len(value) == 2 else None
+        self.persist(**{f"log/{slot}": value})
+        self._open_votes.pop(slot, None)
+        command_id = command_id_of(value)
         self.ctx.emit("slot_decide", slot=slot, command_id=command_id)
         if command_id is not None:
             self._pending.pop(command_id, None)
+            if self._builder is not None:
+                self._builder.count_learned(self.pid, command_id)
         if slot >= self._next_slot:
             self._next_slot = slot + 1
 
@@ -338,7 +346,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     def _advance_ballot(self, new_ballot: int, via: str) -> None:
         old_session = self.session
         self.mbal = new_ballot
-        self._persist()
+        self.persist(mbal=new_ballot)
         if self._established_ballot is not None and self._established_ballot != new_ballot:
             self._established_ballot = None
         if session_of(new_ballot, self.n) > old_session:
@@ -356,21 +364,50 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         self._sent_recently = True
         self.ctx.broadcast(MultiPhase1a(mbal=self.mbal))
 
-    def _persist(self) -> None:
-        self.persist(mbal=self.mbal, accepted=self.accepted, log=self.log.snapshot())
-
 
 class MultiPaxosSmrBuilder(ProtocolBuilder):
-    """Builds SMR replicas, each with its own client command schedule."""
+    """Builds SMR replicas, each with its own client command schedule.
+
+    The builder also stops the run: it counts the (scheduled command,
+    expected replica) pairs not yet learned, and asks the simulator to stop
+    when none is left.  A pair counts while the replica is up and holds the
+    command in its log, so a crash puts the replica's pairs back and a
+    restart counts what it restores from stable storage.  Without
+    ``replicas`` (or without commands) the run goes to its horizon.
+    """
 
     name = "multi-paxos-smr"
 
-    def __init__(self, schedule: Optional[CommandSchedule] = None) -> None:
+    def __init__(
+        self,
+        schedule: Optional[CommandSchedule] = None,
+        replicas: Iterable[int] = (),
+    ) -> None:
         super().__init__()
         self.schedule = schedule if schedule is not None else CommandSchedule()
+        self._commands = frozenset(self.schedule.command_ids)
+        self._learned: Dict[int, set] = {pid: set() for pid in replicas}
+        self._missing = len(self._commands) * len(self._learned)
 
     def create(self, pid: int) -> MultiPaxosSmrProcess:
-        return MultiPaxosSmrProcess(schedule=self.schedule.for_pid(pid))
+        return MultiPaxosSmrProcess(schedule=self.schedule.for_pid(pid), builder=self)
+
+    def count_learned(self, pid: int, command_id: Any) -> None:
+        """Replica ``pid`` holds ``command_id`` in its log."""
+        learned = self._learned.get(pid)
+        if learned is None or command_id not in self._commands or command_id in learned:
+            return
+        learned.add(command_id)
+        self._missing -= 1
+        if self._missing == 0 and self.simulator is not None:
+            self.simulator.request_stop()
+
+    def count_crashed(self, pid: int) -> None:
+        """Replica ``pid`` crashed: what it learned no longer counts."""
+        learned = self._learned.get(pid)
+        if learned:
+            self._missing += len(learned)
+            learned.clear()
 
     def invariant_checks(self):
         from repro.analysis.invariants import check_session_entry_rule

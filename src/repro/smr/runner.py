@@ -4,7 +4,9 @@ The single-decree harness (:mod:`repro.harness.runner`) stops when every
 process has *decided*; the SMR layer instead stops when every expected
 replica has learned every scheduled command (or the horizon is reached), and
 its safety check is per-slot log consistency plus identical state-machine
-digests rather than the single-decree spec.
+digests rather than the single-decree spec.  The stop is event-driven: the
+:class:`~repro.smr.multi_paxos.MultiPaxosSmrBuilder` counts down the missing
+(command, replica) pairs as replicas learn, crash and restart.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Callable, Dict, Optional
 
 from repro.analysis.invariants import InvariantReport, check_session_entry_rule
 from repro.errors import ConfigurationError
+from repro.sim.clock import ClockConfig
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.smr.metrics import (
@@ -26,7 +29,7 @@ from repro.smr.metrics import (
     worst_global_latency,
     worst_submitter_latency,
 )
-from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 from repro.workloads.scenario import Scenario
@@ -65,21 +68,26 @@ class SmrRunResult:
         return worst_global_latency(self.commands)
 
 
-def _validate_schedule_horizon(schedule: CommandSchedule, max_time: float) -> None:
-    """Reject schedules whose submissions land past the scenario horizon.
+def _validate_schedule_horizon(schedule: CommandSchedule, max_time: float, rho: float) -> None:
+    """Reject schedules whose submissions may land past the scenario horizon.
 
-    A submission timer set for after ``max_time`` never fires, so the command
-    would silently never run (and never show up in the metrics); fail loudly
-    with the offending command instead.
+    Submit times are local clock readings; on the slowest admissible clock
+    (rate 1 − ρ) local time ``t`` is reached only at real time ``t / (1 − ρ)``.
+    A submission timer that may fire after ``max_time`` may never fire, so the
+    command would silently never run (and never show up in the metrics);
+    fail loudly with the offending command instead.
     """
+    clock = ClockConfig(rho=rho)
     for pid, entries in sorted(schedule.entries.items()):
         for submit_at, command_id, _ in entries:
-            if submit_at > max_time:
+            latest = clock.real_upper_bound(submit_at)
+            if latest > max_time:
                 raise ConfigurationError(
                     f"command {command_id!r} is scheduled at p{pid} local time "
-                    f"{submit_at:g}, past the scenario horizon max_time={max_time:g}; "
-                    "it would silently never be submitted — extend max_time or move "
-                    "the submission earlier"
+                    f"{submit_at:g}, which a clock drifting by rho={rho:g} reaches only "
+                    f"at real time {latest:g}, past the scenario horizon "
+                    f"max_time={max_time:g}; it could silently never be submitted — "
+                    "extend max_time or move the submission earlier"
                 )
 
 
@@ -92,8 +100,8 @@ def run_smr(
 ) -> SmrRunResult:
     """Execute the multi-decree Modified Paxos service under ``scenario``."""
     config = scenario.config
-    _validate_schedule_horizon(schedule, config.max_time)
-    builder = MultiPaxosSmrBuilder(schedule=schedule)
+    _validate_schedule_horizon(schedule, config.max_time, config.params.rho)
+    builder = MultiPaxosSmrBuilder(schedule=schedule, replicas=scenario.deciders())
     network_rng = SeededRng(config.seed, label="net").fork(scenario.name)
     network = scenario.build_network(config, network_rng)
 
@@ -111,26 +119,7 @@ def run_smr(
     if scenario.post_setup is not None:
         scenario.post_setup(simulator)
 
-    expected_replicas = set(scenario.deciders())
-    expected_commands = set(schedule.command_ids)
-
-    def everyone_caught_up(sim: Simulator) -> bool:
-        if not expected_commands:
-            return False
-        learned: Dict[str, set] = {}
-        for node in sim.nodes.values():
-            process = node.process
-            if not isinstance(process, MultiPaxosSmrProcess) or node.pid not in expected_replicas:
-                continue
-            for _, value in process.log:
-                if isinstance(value, tuple) and len(value) == 2:
-                    learned.setdefault(value[0], set()).add(node.pid)
-        return all(
-            expected_replicas.issubset(learned.get(command_id, set()))
-            for command_id in expected_commands
-        )
-
-    simulator.run(stop_when=everyone_caught_up)
+    simulator.run()
 
     result = SmrRunResult(
         scenario=scenario,

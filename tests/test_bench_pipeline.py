@@ -1,6 +1,7 @@
 """Tests for the benchmark pipeline (`repro.harness.bench` + the CLI gate)."""
 
 import json
+import os
 
 import pytest
 
@@ -163,17 +164,23 @@ class TestBenchCli:
 
 
 class TestCommittedArtifact:
-    """The repository must carry a committed BENCH_*.json with the PR2 numbers."""
+    """The repository must carry committed BENCH_*.json artifacts."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
     def test_bench_pr2_artifact_exists_with_target_speedup(self):
-        import os
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = find_latest_baseline(root)
-        assert path is not None, "no committed BENCH_*.json artifact"
+        path = os.path.join(self.ROOT, "BENCH_PR2.json")
+        assert os.path.exists(path), "the PR2 artifact is missing"
         data = json.loads(open(path).read())
         assert data["kernels"]["event_loop_trace_off"]["events_per_sec"] > 0
         assert "baseline" in data, "artifact must embed the pre-refactor baseline"
         # The PR2 acceptance target: >= 3x events/sec on the trace-disabled
         # event-loop kernel, measured against the recorded baseline.
         assert data["speedup"]["event_loop_trace_off"] >= 3.0
+
+    def test_latest_artifact_gates_every_kernel(self):
+        path = find_latest_baseline(self.ROOT)
+        assert path is not None, "no committed BENCH_*.json artifact"
+        kernels = json.loads(open(path).read())["kernels"]
+        for name, metric in PRIMARY_METRICS.items():
+            assert kernels.get(name, {}).get(metric, 0) > 0, f"{name} is not gated"

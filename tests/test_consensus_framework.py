@@ -79,6 +79,13 @@ class TestConsensusProcess:
         assert process.recall("round") == 4
         assert process.recall("missing", default=9) == 9
 
+    def test_recall_prefixed(self):
+        harness = ContextHarness()
+        process = harness.start(MinimalConsensus(), initial_value="x")
+        process.persist(**{"slot/0": "a", "slot/12": "b", "slots": "not-a-slot"})
+        assert process.recall_prefixed("slot/") == {"0": "a", "12": "b"}
+        assert process.recall_prefixed("other/") == {}
+
 
 class TestRegistry:
     def test_default_registry_contains_all_protocols(self):

@@ -124,6 +124,24 @@ class TestTimers:
         for time in times:
             assert 3.0 / 1.05 <= time <= 3.0 / 0.95
 
+    def test_run_until_decided_stops_at_the_last_awaited_decision(self):
+        polled = build_simulator(lambda pid: TimerProcess(), n=5, rho=0.05, seed=3)
+        polled.run(stop_when=lambda sim: {1, 3} <= sim.decisions.keys())
+        driven = build_simulator(lambda pid: TimerProcess(), n=5, rho=0.05, seed=3)
+        driven.run_until_decided([1, 3])
+        assert driven.events_processed == polled.events_processed < 15
+        assert driven.now() == polled.now()
+        assert sorted(driven.decisions) == sorted(polled.decisions)
+
+    def test_run_until_decided_returns_at_once_when_already_decided(self):
+        sim = build_simulator(lambda pid: TimerProcess(), n=3, rho=0.05, seed=3)
+        sim.run_until_decided([0])
+        events = sim.events_processed
+        sim.run_until_decided([0])
+        assert sim.events_processed == events
+        sim.run_until_decided()
+        assert sorted(sim.decisions) == [0, 1, 2]
+
 
 class TestCrashAndRestart:
     def test_crash_stops_timers_and_messages(self):

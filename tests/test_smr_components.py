@@ -61,6 +61,41 @@ class TestReplicatedLog:
         log.learn(0, "a")
         assert list(log) == [(0, "a"), (2, "c")]
 
+    def test_sorted_view_tracks_every_learn(self):
+        log = ReplicatedLog()
+        for slot in (0, 1, 5, 3, 6):
+            log.learn(slot, f"v{slot}")
+            assert log.items() == tuple(sorted(log.snapshot().items()))
+        assert log.highest_slot == 6
+
+    def test_command_index(self):
+        log = ReplicatedLog()
+        log.learn(0, ("cmd-a", ("set", "k", 1)))
+        log.learn(1, "bare-value")
+        assert log.has_command("cmd-a")
+        assert not log.has_command("cmd-b") and not log.has_command("bare-value")
+
+    @pytest.mark.parametrize("ours, theirs", [
+        ((0, 1, 2), (0, 1, 2, 3, 4)),  # both contiguous: compared by length
+        ((0, 1, 2, 3, 4), (0, 1)),
+        ((0, 1, 2), (0, 1, 2)),
+        ((0, 2, 5), (0, 1, 2, 3)),  # gaps on our side
+        ((0, 1, 2, 3), (1, 3, 4)),  # gaps on theirs
+        ((), (0, 1)),
+        ((0, 1), ()),
+    ])
+    def test_entry_differences(self, ours, theirs):
+        log = ReplicatedLog()
+        for slot in ours:
+            log.learn(slot, f"v{slot}")
+        entries = tuple((slot, f"v{slot}") for slot in theirs)
+        assert list(log.unknown_entries(entries)) == [
+            (slot, f"v{slot}") for slot in theirs if slot not in ours
+        ]
+        assert list(log.entries_missing_from(entries)) == [
+            (slot, f"v{slot}") for slot in ours if slot not in theirs
+        ]
+
 
 class TestKeyValueStore:
     def test_set_and_get(self):

@@ -43,8 +43,9 @@ class TestStartupAndPhase1:
 
     def test_promise_carries_votes_and_decided_entries(self):
         harness, process = start_replica(pid=0, n=3)
-        process.accepted[4] = (2, ("cmd-x", ("set", "k", 1)))
+        harness.deliver(MultiPhase2a(mbal=2, slot=4, value=("cmd-x", ("set", "k", 1))), sender=2)
         process.log.learn(0, ("cmd-0", ("set", "a", 1)))
+        assert process.accepted[4] == (2, ("cmd-x", ("set", "k", 1)))
         harness.clear_sent()
         harness.deliver(MultiPhase1a(mbal=7), sender=1)
         replies = harness.sent_of_kind("mphase1b")
@@ -197,6 +198,47 @@ class TestRestart:
         assert restarted.mbal == 7
         assert restarted.accepted[0] == (7, ("c0", ("set", "a", 1)))
         assert restarted.log.get(1) == ("c1", ("set", "b", 2))
+
+    def test_two_restarts_recover_every_slot(self):
+        def command(index):
+            return (f"c{index}", ("set", f"k{index}", index))
+
+        harness, process = start_replica(pid=0, n=3)
+        harness.deliver(MultiPhase1a(mbal=7), sender=1)
+        for slot in range(4):
+            harness.deliver(MultiPhase2a(mbal=7, slot=slot, value=command(slot)), sender=1)
+        for slot in (0, 1, 2):
+            harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=1)
+
+        first = harness.restart(MultiPaxosSmrProcess(), initial_value="v0")
+        assert first.mbal == 7
+        assert first.log.snapshot() == {slot: command(slot) for slot in (0, 1, 2)}
+        assert first.accepted == {slot: (7, command(slot)) for slot in range(4)}
+        assert first.log.has_command("c2") and not first.log.has_command("c3")
+
+        # Second incarnation: a higher ballot, a re-vote, a new vote, and
+        # decisions out of order (slot 5 before slot 3).
+        harness.deliver(MultiPhase2a(mbal=8, slot=3, value=command(3)), sender=2)
+        harness.deliver(MultiPhase2a(mbal=8, slot=4, value=command(4)), sender=2)
+        harness.deliver(SlotDecision(slot=5, value=command(5)), sender=2)
+        harness.deliver(SlotDecision(slot=3, value=command(3)), sender=2)
+
+        second = harness.restart(MultiPaxosSmrProcess(), initial_value="v0")
+        assert second.mbal == 8
+        assert second.log.snapshot() == {slot: command(slot) for slot in (0, 1, 2, 3, 5)}
+        assert second.accepted == {
+            **{slot: (7, command(slot)) for slot in range(3)},
+            3: (8, command(3)),
+            4: (8, command(4)),
+        }
+        assert second.log.first_gap() == 4
+        assert second.log.highest_slot == 5
+        # Its promise reports the one undecided vote and every decided slot.
+        harness.clear_sent()
+        harness.deliver(MultiPhase1a(mbal=8), sender=2)
+        promise = harness.sent_of_kind("mphase1b")[0].message
+        assert promise.votes == ((4, (8, command(4))),)
+        assert promise.decided == tuple((slot, command(slot)) for slot in (0, 1, 2, 3, 5))
 
 
 class TestBuilder:
