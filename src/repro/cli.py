@@ -486,6 +486,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         compare_to_baseline,
         find_latest_baseline,
         run_bench,
+        ungated_kernels,
         write_bench,
     )
 
@@ -506,6 +507,9 @@ def _command_bench(args: argparse.Namespace) -> int:
             with open(committed_path, "r", encoding="utf-8") as handle:
                 committed = json.load(handle)
             regressions = compare_to_baseline(result, committed, tolerance=args.tolerance)
+            ungated = ungated_kernels(result, committed)
+            if ungated:
+                print(f"bench check: ungated (in only one artifact): {', '.join(ungated)}")
             if regressions:
                 print(f"bench check FAILED against {committed_path}:")
                 for line in regressions:

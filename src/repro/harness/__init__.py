@@ -4,13 +4,16 @@ Layers, bottom-up:
 
 * :mod:`repro.harness.runner` — :func:`run_scenario`, the single-run
   primitive (one scenario, one protocol, full :class:`RunResult`).
-* :mod:`repro.harness.executors` — declarative :class:`RunTask`\\ s executed
-  by a :class:`SerialExecutor` or a process-pool :class:`ParallelExecutor`.
-* :mod:`repro.harness.experiment` — :class:`ExperimentSpec` grids and the
+* :mod:`repro.harness.executors` — declarative :class:`RunTask`\\ s and
+  :class:`SmrTask`\\ s executed by a :class:`SerialExecutor` or a
+  process-pool :class:`ParallelExecutor`.
+* :mod:`repro.harness.experiment` — :func:`run_tasks`, the one
+  task → executor → record → store pipeline for both task kinds;
+  :class:`ExperimentSpec` grids (a one-axis grid is a sweep); and the
   queryable :class:`ResultSet`.
-* :mod:`repro.harness.sweep` / :mod:`repro.harness.experiments` /
-  :mod:`repro.harness.comparison` / :mod:`repro.harness.campaign` — the
-  paper's E1–E9 tables built on the layers above.
+* :mod:`repro.harness.experiments` / :mod:`repro.harness.comparison` /
+  :mod:`repro.harness.campaign` — the paper's E1–E9 tables built on the
+  layers above.
 """
 
 from repro.harness.executors import (
@@ -18,6 +21,7 @@ from repro.harness.executors import (
     ParallelExecutor,
     RunTask,
     SerialExecutor,
+    SmrTask,
     make_executor,
 )
 from repro.harness.experiment import (
@@ -26,9 +30,9 @@ from repro.harness.experiment import (
     ResultSet,
     lag_delta,
     run_experiment,
+    run_tasks,
 )
 from repro.harness.runner import RunResult, run_scenario
-from repro.harness.sweep import SweepResult, sweep
 from repro.harness.tables import ExperimentTable, render_table
 
 __all__ = [
@@ -41,11 +45,11 @@ __all__ = [
     "RunResult",
     "RunTask",
     "SerialExecutor",
-    "SweepResult",
+    "SmrTask",
     "lag_delta",
     "make_executor",
     "render_table",
     "run_experiment",
     "run_scenario",
-    "sweep",
+    "run_tasks",
 ]

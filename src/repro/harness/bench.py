@@ -74,6 +74,7 @@ __all__ = [
     "kernel_result_store",
     "kernel_smr",
     "run_bench",
+    "ungated_kernels",
     "write_bench",
 ]
 
@@ -487,7 +488,8 @@ def compare_to_baseline(
     """Regression report: kernels whose rate dropped more than ``tolerance``.
 
     Returns human-readable regression lines (empty = pass).  Kernels missing
-    on either side are skipped — adding a new kernel must not fail the gate.
+    on either side are skipped — adding a new kernel must not fail the gate;
+    :func:`ungated_kernels` names them so they do not go unnoticed.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -506,3 +508,10 @@ def compare_to_baseline(
                 f"(committed {old:,.0f}, tolerance {tolerance:.0%})"
             )
     return regressions
+
+
+def ungated_kernels(current: Dict[str, Any], committed: Dict[str, Any]) -> List[str]:
+    """Kernels measured in only one of the two artifacts, which the gate skips."""
+    current_kernels = current.get("kernels", current)
+    committed_kernels = committed.get("kernels", committed)
+    return sorted(set(current_kernels) ^ set(committed_kernels))

@@ -27,8 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from repro.consensus.base import ProtocolBuilder
-from repro.consensus.registry import ProtocolRegistry
 from repro.consensus.values import RunOutcome
 from repro.errors import ConfigurationError, ExperimentError
 from repro.harness.runner import RunResult, run_scenario
@@ -36,7 +34,7 @@ from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, snapshot_smr_outcome
 from repro.smr.runner import SmrRunResult, run_smr
 from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
 from repro.smr.workload import ScheduleSpec
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
+from repro.workloads.registry import default_workload_registry
 from repro.workloads.scenario import Scenario
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "execute_smr_task",
     "execute_smr_task_result",
     "execute_task",
-    "execute_task_result",
     "machine_factory_for",
     "make_executor",
     "snapshot_outcome",
@@ -95,7 +92,6 @@ class RunTask:
     enforce_safety: bool = True
     enforce_invariants: bool = True
     run_until_decided: bool = True
-    record_envelopes: bool = True
 
     def describe(self) -> str:
         labels = " ".join(f"{key}={value!r}" for key, value in sorted(self.tags.items()))
@@ -135,12 +131,9 @@ class SmrTask:
         )
 
 
-def build_task_scenario(
-    task: RunTask, registry: Optional[ScenarioRegistry] = None
-) -> Scenario:
+def build_task_scenario(task: AnyTask) -> Scenario:
     """Materialize the task's scenario through the workload registry."""
-    registry = registry if registry is not None else default_workload_registry()
-    return registry.create(task.workload, **dict(task.workload_kwargs))
+    return default_workload_registry().create(task.workload, **dict(task.workload_kwargs))
 
 
 def snapshot_outcome(result: RunResult) -> RunOutcome:
@@ -178,61 +171,43 @@ def snapshot_outcome(result: RunResult) -> RunOutcome:
     return outcome
 
 
-def execute_task_result(
-    task: RunTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-    protocol_registry: Optional[ProtocolRegistry] = None,
-) -> RunResult:
-    """Execute one task in-process and keep the full result (simulator included)."""
-    scenario = build_task_scenario(task, registry=workload_registry)
-    return run_scenario(
-        scenario,
-        task.protocol,
-        registry=protocol_registry,
-        protocol_kwargs=dict(task.protocol_kwargs) or None,
-        enforce_safety=task.enforce_safety,
-        enforce_invariants=task.enforce_invariants,
-        run_until_decided=task.run_until_decided,
-        record_envelopes=task.record_envelopes,
-    )
-
-
-def execute_smr_task_result(
-    task: SmrTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-) -> SmrRunResult:
+def execute_smr_task_result(task: SmrTask) -> SmrRunResult:
     """Execute one SMR task in-process and keep the full result."""
-    scenario = build_task_scenario(task, registry=workload_registry)
-    schedule = task.schedule.to_schedule(scenario.config.n)
+    scenario = build_task_scenario(task)
     return run_smr(
         scenario,
-        schedule,
+        task.schedule.to_schedule(scenario.config.n),
         machine_factory=machine_factory_for(task.machine),
         enforce_consistency=task.enforce_consistency,
     )
 
 
-def execute_smr_task(
-    task: SmrTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-) -> SmrOutcome:
+def execute_smr_task(task: SmrTask) -> SmrOutcome:
     """Execute one SMR task and return its condensed outcome."""
-    result = execute_smr_task_result(task, workload_registry=workload_registry)
-    return snapshot_smr_outcome(result, workload=task.workload)
+    return snapshot_smr_outcome(execute_smr_task_result(task), workload=task.workload)
 
 
 def execute_task(task: AnyTask) -> AnyOutcome:
     """Execute one task (of either kind) and return its condensed outcome.
 
-    This is the function worker processes run; it must stay module-level so
-    it pickles under every multiprocessing start method.
+    The one place execution dispatches on the task kind; every executor
+    runs tasks through it.  Run tasks execute with the network's envelope
+    log off: the outcome never reads individual envelopes.  This function
+    must stay module-level so it pickles under every multiprocessing start
+    method.
     """
     if isinstance(task, SmrTask):
         return execute_smr_task(task)
-    return snapshot_outcome(execute_task_result(task))
+    result = run_scenario(
+        build_task_scenario(task),
+        task.protocol,
+        protocol_kwargs=dict(task.protocol_kwargs) or None,
+        enforce_safety=task.enforce_safety,
+        enforce_invariants=task.enforce_invariants,
+        run_until_decided=task.run_until_decided,
+        record_envelopes=False,
+    )
+    return snapshot_outcome(result)
 
 
 class Executor:
@@ -248,8 +223,8 @@ class Executor:
         """Yield outcomes in task order as they complete.
 
         The streaming counterpart of :meth:`map`: consumers that persist
-        outcomes (e.g. ``run_experiment(..., store=...)``) write each record
-        as it arrives instead of holding the whole batch, so an interrupted
+        outcomes (``run_tasks(..., store=...)``) write each record as it
+        arrives instead of holding the whole batch, so an interrupted
         campaign keeps everything finished before the interruption.
         Subclasses must override at least one of :meth:`map` / :meth:`imap`.
         """
@@ -264,24 +239,6 @@ class Executor:
     def run(self, task: AnyTask) -> AnyOutcome:
         return self.map([task])[0]
 
-    def run_result(
-        self,
-        scenario: Scenario,
-        protocol: Union[str, ProtocolBuilder],
-        *,
-        protocol_kwargs: Optional[Mapping[str, Any]] = None,
-        enforce_safety: bool = True,
-    ) -> RunResult:
-        """Run one concrete scenario and return the *full* result.
-
-        Only in-process executors can do this — a full result holds the
-        simulator, which never crosses a process boundary.
-        """
-        raise ExperimentError(
-            f"the {self.name!r} executor exchanges RunOutcomes, not full RunResults; "
-            "use SerialExecutor, or declarative RunTasks via ExperimentSpec/run_experiment"
-        )
-
     def describe(self) -> str:
         return self.name
 
@@ -291,48 +248,8 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def __init__(
-        self,
-        workload_registry: Optional[ScenarioRegistry] = None,
-        protocol_registry: Optional[ProtocolRegistry] = None,
-    ) -> None:
-        self.workload_registry = workload_registry
-        self.protocol_registry = protocol_registry
-
-    def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
-        return [self._execute_one(task) for task in tasks]
-
     def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
-        for task in tasks:
-            yield self._execute_one(task)
-
-    def _execute_one(self, task: AnyTask) -> AnyOutcome:
-        if isinstance(task, SmrTask):
-            return execute_smr_task(task, workload_registry=self.workload_registry)
-        return snapshot_outcome(self.map_result(task))
-
-    def map_result(self, task: RunTask) -> RunResult:
-        return execute_task_result(
-            task,
-            workload_registry=self.workload_registry,
-            protocol_registry=self.protocol_registry,
-        )
-
-    def run_result(
-        self,
-        scenario: Scenario,
-        protocol: Union[str, ProtocolBuilder],
-        *,
-        protocol_kwargs: Optional[Mapping[str, Any]] = None,
-        enforce_safety: bool = True,
-    ) -> RunResult:
-        return run_scenario(
-            scenario,
-            protocol,
-            registry=self.protocol_registry,
-            protocol_kwargs=dict(protocol_kwargs) if protocol_kwargs else None,
-            enforce_safety=enforce_safety,
-        )
+        return (execute_task(task) for task in tasks)
 
 
 class ParallelExecutor(Executor):

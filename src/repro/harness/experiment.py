@@ -4,10 +4,14 @@ An :class:`ExperimentSpec` declares a full experiment — protocols ×
 workload-parameter grid × seeds over one registry workload — and expands it
 into the declarative :class:`~repro.harness.executors.RunTask` list an
 :class:`~repro.harness.executors.Executor` can run serially or across
-processes.  :func:`run_experiment` pairs every task with its outcome in a
+processes.  A one-axis grid is a parameter sweep.  :func:`run_tasks` is the
+one execution pipeline: it runs single-decree and SMR
+(:class:`~repro.harness.executors.SmrTask`) tasks in any mix, optionally
+through a result store, and pairs every task with its outcome in a
 :class:`ResultSet`, which supports tag filtering, grouping, and
 summary-stat aggregation and renders straight into an
-:class:`~repro.harness.tables.ExperimentTable`.
+:class:`~repro.harness.tables.ExperimentTable`.  :func:`run_experiment` is
+:func:`run_tasks` over the tasks a spec expands into.
 
 Typical use::
 
@@ -42,21 +46,22 @@ from typing import (
 )
 
 from repro.analysis.stats import Summary, summarize
-from repro.consensus.values import RunOutcome
 from repro.errors import ExperimentError
-from repro.harness.executors import Executor, RunTask, SmrTask, make_executor
-from repro.smr.outcome import SmrOutcome
-from repro.smr.workload import ScheduleSpec
+from repro.harness.executors import (
+    AnyOutcome,
+    AnyTask,
+    Executor,
+    RunTask,
+    make_executor,
+)
 
 __all__ = [
     "ExperimentSpec",
     "ResultRow",
     "ResultSet",
-    "SmrExperimentSpec",
-    "SmrResultRow",
     "lag_delta",
     "run_experiment",
-    "run_smr_tasks",
+    "run_tasks",
     "undecided",
 ]
 
@@ -65,17 +70,6 @@ Binder = Callable[[GridPoint], Mapping[str, Any]]
 Metric = Callable[["ResultRow"], Optional[float]]
 
 logger = logging.getLogger("repro.results")
-
-
-def _grid_points(grid: Mapping[str, Sequence[Any]]) -> List[GridPoint]:
-    """The cartesian product of a parameter grid, in declaration order."""
-    if not grid:
-        return [{}]
-    keys = list(grid)
-    return [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(grid[key] for key in keys))
-    ]
 
 
 @dataclass(frozen=True)
@@ -98,11 +92,6 @@ class ExperimentSpec:
         tags: Constant tags stamped on every task (e.g. ``case="chaos"``).
         enforce_safety / enforce_invariants / run_until_decided: Run flags,
             passed through to :func:`~repro.harness.runner.run_scenario`.
-        record_envelopes: Keep the per-envelope network log during each run.
-            Off by default: experiments aggregate through
-            :class:`~repro.consensus.values.RunOutcome`, which never reads
-            individual envelopes, so the unbounded log would be pure
-            overhead on large grids.
     """
 
     workload: str
@@ -116,11 +105,14 @@ class ExperimentSpec:
     enforce_safety: bool = True
     enforce_invariants: bool = True
     run_until_decided: bool = True
-    record_envelopes: bool = False
 
     def points(self) -> List[GridPoint]:
         """The cartesian product of the grid, in declaration order."""
-        return _grid_points(self.grid)
+        keys = list(self.grid)
+        return [
+            dict(zip(keys, combo))
+            for combo in itertools.product(*(self.grid[key] for key in keys))
+        ]
 
     def tasks(self) -> List[RunTask]:
         """Expand into one task per (protocol, grid point, seed)."""
@@ -144,7 +136,6 @@ class ExperimentSpec:
                             enforce_safety=self.enforce_safety,
                             enforce_invariants=self.enforce_invariants,
                             run_until_decided=self.run_until_decided,
-                            record_envelopes=self.record_envelopes,
                         )
                     )
         return tasks
@@ -152,10 +143,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One executed task paired with its outcome."""
+    """One executed task (of either kind) paired with its outcome."""
 
-    task: RunTask
-    outcome: RunOutcome
+    task: AnyTask
+    outcome: AnyOutcome
 
     @property
     def tags(self) -> Mapping[str, Any]:
@@ -281,59 +272,49 @@ def run_experiment(
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ResultSet:
-    """Expand the spec(s) into tasks, execute them, and pair up the results.
+    """Expand the spec(s) into tasks and run them through :func:`run_tasks`.
 
-    ``executor`` wins over ``jobs``; with neither, execution is serial.
     Passing several specs runs their concatenated task lists in one batch,
     so a parallel executor can schedule across all of them.
+    """
+    specs = [spec] if isinstance(spec, ExperimentSpec) else list(spec)
+    tasks = [task for one in specs for task in one.tasks()]
+    return run_tasks(tasks, executor=executor, jobs=jobs, store=store, resume=resume)
+
+
+def run_tasks(
+    tasks: Iterable[AnyTask],
+    *,
+    executor: Optional[Executor] = None,
+    jobs: Optional[int] = None,
+    store: Optional[Any] = None,
+    resume: bool = False,
+) -> ResultSet:
+    """Execute tasks of either kind and pair every task with its outcome.
+
+    The one execution pipeline behind every experiment:
+    :class:`~repro.harness.executors.RunTask`\\ s and
+    :class:`~repro.harness.executors.SmrTask`\\ s may be mixed freely.
+    ``executor`` wins over ``jobs``; with neither, execution is serial.
 
     ``store`` (a :class:`~repro.results.store.ResultStore` or a path
-    accepted by :func:`~repro.results.store.open_store`) persists every
-    executed task as a :class:`~repro.results.record.RunRecord` under its
-    content key, streamed as outcomes complete — an interrupted run keeps
-    everything finished so far.  With ``resume=True``, tasks whose key is
-    already present are loaded from the store instead of executed (cache
-    hits are logged on the ``repro.results`` logger); the returned
-    :class:`ResultSet` is indistinguishable from a fully fresh run.
+    accepted by :func:`~repro.results.store.open_store`) receives every
+    executed task frozen into the record type matching its kind
+    (:func:`~repro.results.record.record_for_task`), streamed in as outcomes
+    complete — an interrupted run keeps everything finished so far.  With
+    ``resume=True``, tasks whose content key is already present are loaded
+    from the store instead of executed (cache hits are logged on the
+    ``repro.results`` logger); the returned :class:`ResultSet` is
+    indistinguishable from a fully fresh run.
     """
     if executor is not None and jobs is not None:
         raise ExperimentError("pass either executor or jobs, not both")
     executor = executor if executor is not None else make_executor(jobs)
-    specs = [spec] if isinstance(spec, ExperimentSpec) else list(spec)
-    tasks: List[RunTask] = []
-    for one in specs:
-        tasks.extend(one.tasks())
-
-    slots = _execute_streaming(tasks, executor, store=store, resume=resume)
-    return ResultSet(
-        ResultRow(task=task, outcome=outcome)
-        for task, outcome in zip(tasks, slots)
-        if outcome is not None
-    )
-
-
-def _execute_streaming(
-    tasks: Sequence[Any],
-    executor: Executor,
-    *,
-    store: Optional[Any],
-    resume: bool,
-) -> List[Optional[Any]]:
-    """The shared store/resume execution engine behind every task family.
-
-    Executes ``tasks`` through ``executor`` and returns their outcomes in
-    task order.  With a ``store``, every executed task is frozen into the
-    record type matching its kind
-    (:func:`~repro.results.record.record_for_task`) and streamed in as it
-    completes — a crash or interrupt mid-batch leaves every finished run
-    durable; with ``resume=True``, tasks whose content key is already
-    present are loaded instead of executed (cache hits are logged on the
-    ``repro.results`` logger).
-    """
+    tasks = list(tasks)
     if store is None:
         if resume:
             raise ExperimentError("resume=True needs a store to resume from")
-        return list(executor.map(tasks))
+        return ResultSet(map(ResultRow, tasks, executor.map(tasks)))
 
     from repro.results.record import content_key_for_task, record_for_task
     from repro.results.store import open_store
@@ -341,12 +322,12 @@ def _execute_streaming(
     opened = not hasattr(store, "put")
     store = open_store(store)
     keys = [content_key_for_task(task) for task in tasks]
-    slots: List[Optional[Any]] = [None] * len(tasks)
+    outcomes: List[Any] = [None] * len(tasks)
     pending: List[int] = []
     for index, key in enumerate(keys):
         record = store.get(key) if resume else None
         if record is not None:
-            slots[index] = record.to_outcome()
+            outcomes[index] = record.to_outcome()
             logger.info("cache hit: %s", key)
         else:
             pending.append(index)
@@ -361,106 +342,14 @@ def _execute_streaming(
         for index, outcome in zip(
             pending, executor.imap([tasks[i] for i in pending])
         ):
-            slots[index] = outcome
+            outcomes[index] = outcome
             store.put(record_for_task(tasks[index], outcome, key=keys[index]))
     finally:
         store.flush()
         if opened:
             store.close()
-    return slots
+    return ResultSet(map(ResultRow, tasks, outcomes))
 
 
-# --------------------------------------------------------------------------- SMR
-@dataclass(frozen=True)
-class SmrResultRow:
-    """One executed SMR task paired with its outcome."""
-
-    task: SmrTask
-    outcome: SmrOutcome
-
-    @property
-    def tags(self) -> Mapping[str, Any]:
-        return self.task.tags
-
-    def tag(self, key: str) -> Any:
-        if key not in self.task.tags:
-            raise ExperimentError(
-                f"row has no tag {key!r}; available: {', '.join(sorted(self.task.tags))}"
-            )
-        return self.task.tags[key]
-
-
-@dataclass(frozen=True)
-class SmrExperimentSpec:
-    """Parameter grid × seeds over one SMR workload and one schedule.
-
-    The multi-decree counterpart of :class:`ExperimentSpec`: every grid
-    point expands into one :class:`~repro.harness.executors.SmrTask` per
-    seed, all sharing the declarative ``schedule`` (a
-    :class:`~repro.smr.workload.ScheduleSpec`) and state-machine name.
-    ``bind`` works exactly as on :class:`ExperimentSpec`.
-    """
-
-    workload: str
-    schedule: ScheduleSpec
-    seeds: Sequence[int] = (0,)
-    base: Mapping[str, Any] = field(default_factory=dict)
-    grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    bind: Optional[Binder] = None
-    machine: str = "kv"
-    tags: Mapping[str, Any] = field(default_factory=dict)
-    enforce_consistency: bool = True
-
-    def points(self) -> List[GridPoint]:
-        return _grid_points(self.grid)
-
-    def tasks(self) -> List[SmrTask]:
-        """Expand into one task per (grid point, seed)."""
-        if not self.seeds:
-            raise ExperimentError("SmrExperimentSpec needs at least one seed")
-        tasks: List[SmrTask] = []
-        for point in self.points():
-            bound = dict(self.bind(point)) if self.bind is not None else dict(point)
-            for seed in self.seeds:
-                kwargs = {**self.base, **bound, "seed": seed}
-                tasks.append(
-                    SmrTask(
-                        workload=self.workload,
-                        schedule=self.schedule,
-                        workload_kwargs=kwargs,
-                        machine=self.machine,
-                        enforce_consistency=self.enforce_consistency,
-                        tags={**self.tags, **point, "seed": seed},
-                    )
-                )
-        return tasks
-
-
-def run_smr_tasks(
-    tasks: Sequence[SmrTask],
-    *,
-    executor: Optional[Executor] = None,
-    jobs: Optional[int] = None,
-    store: Optional[Any] = None,
-    resume: bool = False,
-) -> List[SmrResultRow]:
-    """Execute SMR tasks through the same executor/store pipeline as runs.
-
-    The multi-decree counterpart of :func:`run_experiment`: tasks fan out
-    over the given executor (``executor`` wins over ``jobs``; with neither,
-    execution is serial), every executed task streams its
-    :class:`~repro.results.smr_record.SmrRecord` into ``store`` as it
-    completes, and ``resume=True`` loads tasks whose content key is already
-    present instead of executing them — an interrupted SMR campaign
-    re-executes exactly the missing runs.
-    """
-    if executor is not None and jobs is not None:
-        raise ExperimentError("pass either executor or jobs, not both")
-    executor = executor if executor is not None else make_executor(jobs)
-    tasks = list(tasks)
-    slots = _execute_streaming(tasks, executor, store=store, resume=resume)
-    return [
-        SmrResultRow(task=task, outcome=outcome)
-        for task, outcome in zip(tasks, slots)
-        if outcome is not None
-    ]
+# The benchmark under perfbench/ imports the SMR entry point by this name.
+run_smr_tasks = run_tasks

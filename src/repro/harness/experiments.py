@@ -28,7 +28,7 @@ from repro.core.timing import (
 )
 from repro.errors import ExperimentError
 from repro.harness.executors import Executor
-from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment
+from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment, run_tasks
 from repro.harness.tables import ExperimentTable
 from repro.params import TimingParams
 
@@ -424,13 +424,12 @@ def experiment_e9_smr_stable_case(
 
     The three cases are declarative :class:`~repro.harness.executors.SmrTask`\\ s
     over the registered ``smr-stable`` / ``smr-chaos`` workloads, executed
-    through :func:`~repro.harness.experiment.run_smr_tasks` — the same
+    through :func:`~repro.harness.experiment.run_tasks` — the same
     executor/store/resume pipeline as every single-decree experiment, so
     ``executor=`` parallelizes the cases and ``store=``/``resume=`` cache
     them under their content keys.
     """
     from repro.harness.executors import SmrTask
-    from repro.harness.experiment import run_smr_tasks
     from repro.smr.workload import ScheduleSpec
     from repro.workloads.registry import default_workload_registry
 
@@ -465,7 +464,7 @@ def experiment_e9_smr_stable_case(
             tags={"case": "chaos", "seed": 3},
         ),
     ]
-    rows = run_smr_tasks(tasks, executor=executor, store=store, resume=resume)
+    rows = run_tasks(tasks, executor=executor, store=store, resume=resume)
     by_case = {row.tag("case"): row.outcome for row in rows}
 
     table = ExperimentTable(

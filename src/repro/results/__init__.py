@@ -25,8 +25,8 @@ run *produced*:
 
 Because simulations are seeded and deterministic, a stored record is a
 faithful substitute for re-executing its task: the harness layers
-(``run_experiment``, ``run_smr_tasks``, ``run_campaign``, ``sweep``,
-``smr_sweep``, the E1–E9 experiment functions) accept ``store=``/``resume=``
+(``run_tasks``, ``run_experiment``, ``run_campaign``, the E1–E9
+experiment functions) accept ``store=``/``resume=``
 and load any record already present under a task's content key instead of
 running it, which is what makes interrupted or sharded campaigns resumable.
 

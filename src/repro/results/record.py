@@ -105,9 +105,9 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
     ``seed`` are left out of the hashed kwargs — they appear readably in the
     content key itself, so every run of one scenario family shares an
     ``env-hash``.  The *enforcement* flags (``enforce_safety``,
-    ``enforce_invariants``, ``record_envelopes``, ``enforce_consistency``)
-    are deliberately excluded — they change what failures raise and what
-    stays observable, never what a successful run produces.
+    ``enforce_invariants``, ``enforce_consistency``) are deliberately
+    excluded — they change what failures raise, never what a successful run
+    produces.
 
     For an :class:`~repro.harness.executors.SmrTask` (``task.kind ==
     "smr"``) the fingerprint instead covers the command schedule and the
@@ -166,6 +166,38 @@ def content_key_for_task(task: Any) -> str:
         f"{task.protocol}/{task.workload}/{_env_hash(fingerprint)}/"
         f"n{kwargs.get('n', '?')}-ts{exact(ts)}-d{exact(delta)}-s{kwargs.get('seed', 0)}"
     )
+
+
+def check_schema_version(data: Mapping[str, Any]) -> int:
+    """The serialized record's schema version, if this library can read it.
+
+    Shared by every record kind; raises
+    :class:`~repro.errors.ResultSchemaError` for a missing or invalid
+    version and for one newer than :data:`SCHEMA_VERSION`.
+    """
+    version = data.get("schema_version")
+    if not isinstance(version, int) or version < 1:
+        raise ResultSchemaError(
+            f"record has no valid schema_version (got {version!r}); "
+            "not a repro results record"
+        )
+    if version > SCHEMA_VERSION:
+        raise ResultSchemaError(
+            f"record schema_version {version} is newer than this library's "
+            f"{SCHEMA_VERSION}; upgrade to read this store"
+        )
+    return version
+
+
+def parse_record_json(text: str) -> Dict[str, Any]:
+    """Parse one serialized record (of any kind) into its JSON object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ResultSchemaError(f"invalid record JSON: {error}") from error
+    if not isinstance(data, dict):
+        raise ResultSchemaError("record JSON must be an object")
+    return data
 
 
 def _round_trippable(value: Any) -> bool:
@@ -379,17 +411,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise ResultSchemaError(
-                f"record has no valid schema_version (got {version!r}); "
-                "not a repro results record"
-            )
-        if version > SCHEMA_VERSION:
-            raise ResultSchemaError(
-                f"record schema_version {version} is newer than this library's "
-                f"{SCHEMA_VERSION}; upgrade to read this store"
-            )
+        version = check_schema_version(data)
         try:
             return cls(
                 key=data["key"],
@@ -418,13 +440,7 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ResultSchemaError(f"invalid record JSON: {error}") from error
-        if not isinstance(data, dict):
-            raise ResultSchemaError("record JSON must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(parse_record_json(text))
 
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:
@@ -475,8 +491,4 @@ def decode_record_dict(data: Mapping[str, Any]) -> Any:
 
 def decode_record_json(text: str) -> Any:
     """Decode one serialized record line/payload of either kind."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ResultSchemaError(f"invalid record JSON: {error}") from error
-    return decode_record_dict(data)
+    return decode_record_dict(parse_record_json(text))

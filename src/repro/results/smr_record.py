@@ -29,7 +29,12 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.consensus.values import json_safe
 from repro.errors import ResultSchemaError
-from repro.results.record import SCHEMA_VERSION, content_key_for_task
+from repro.results.record import (
+    SCHEMA_VERSION,
+    check_schema_version,
+    content_key_for_task,
+    parse_record_json,
+)
 
 __all__ = ["SmrRecord"]
 
@@ -245,17 +250,7 @@ class SmrRecord:
                 f"not an SMR record (kind={data.get('kind')!r}); "
                 "use decode_record_dict for mixed stores"
             )
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise ResultSchemaError(
-                f"record has no valid schema_version (got {version!r}); "
-                "not a repro results record"
-            )
-        if version > SCHEMA_VERSION:
-            raise ResultSchemaError(
-                f"record schema_version {version} is newer than this library's "
-                f"{SCHEMA_VERSION}; upgrade to read this store"
-            )
+        version = check_schema_version(data)
         try:
             return cls(
                 key=data["key"],
@@ -290,13 +285,7 @@ class SmrRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "SmrRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ResultSchemaError(f"invalid record JSON: {error}") from error
-        if not isinstance(data, dict):
-            raise ResultSchemaError("record JSON must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(parse_record_json(text))
 
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.env.spec import EnvironmentSpec
-from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.sim.rng import SeededRng
@@ -17,7 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Scenario"]
 
-NetworkFactory = Callable[[SimulationConfig, SeededRng], Network]
 PostSetupHook = Callable[[Simulator], None]
 
 
@@ -25,27 +23,18 @@ PostSetupHook = Callable[[Simulator], None]
 class Scenario:
     """Everything one simulation run needs, minus the protocol.
 
-    A scenario is normally built from a declarative
+    A scenario instantiates a declarative
     :class:`~repro.env.spec.EnvironmentSpec`: the environment supplies both
-    the network factory and the fault plan, and is recorded in every
-    :class:`~repro.consensus.values.RunOutcome` so results are reproducible
-    from their own metadata.  Passing an explicit ``build_network`` closure
-    (and/or ``fault_plan``) remains supported as a thin back-compat adapter
-    for ad-hoc networks that have no declarative form; explicit values win
-    over the environment's.
+    the network and the fault plan, and is recorded in every outcome so
+    results are reproducible from their own metadata.
 
     Attributes:
         name: Short identifier used in tables and traces.
         config: The simulation configuration (n, timing constants, ts, seed).
-        environment: Declarative environment the run instantiates (preferred).
+        environment: Declarative environment the run instantiates.
         environment_registry: Registry resolving the environment's adversary
             and fault kinds; None uses the default registry.  Pass a custom
             registry when the spec uses user-registered primitives.
-        build_network: Builds the network (synchrony model + adversary) for a
-            given configuration and randomness stream; derived from
-            ``environment`` when not given.
-        fault_plan: Crash/restart schedule (validated against the config);
-            derived from ``environment`` when not given.
         initial_values: Proposals per process; None lets the simulator use
             its defaults (distinct per-process values).
         post_setup: Optional hook run after the simulator is built but before
@@ -56,40 +45,56 @@ class Scenario:
             assumption when validating the fault plan (set automatically for
             churn environments).
         notes: Free-form description used in reports.
+        fault_plan: Crash/restart schedule built from ``environment``
+            (validated against the config when the simulator is built).
     """
 
     name: str
     config: SimulationConfig
-    build_network: Optional[NetworkFactory] = None
-    environment: Optional[EnvironmentSpec] = None
+    environment: EnvironmentSpec
     environment_registry: Optional["EnvironmentRegistry"] = None
-    fault_plan: Optional[FaultPlan] = None
     initial_values: Optional[List[Any]] = None
     post_setup: Optional[PostSetupHook] = None
     expected_deciders: Optional[List[int]] = None
     allow_post_ts_crashes: bool = False
     notes: str = ""
+    fault_plan: FaultPlan = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.environment is not None:
-            environment, registry = self.environment, self.environment_registry
-            if self.build_network is None:
-                if registry is None:
-                    self.build_network = environment.build_network
-                else:
-                    self.build_network = (
-                        lambda config, rng: environment.build_network(config, rng, registry)
-                    )
-            if self.fault_plan is None:
-                self.fault_plan = environment.build_fault_plan(self.config, registry)
-            if environment.allows_post_ts_crashes(registry):
-                self.allow_post_ts_crashes = True
-        if self.build_network is None:
-            raise ConfigurationError(
-                f"scenario {self.name!r} needs an environment or a build_network factory"
-            )
-        if self.fault_plan is None:
-            self.fault_plan = FaultPlan()
+        registry = self.environment_registry
+        self.fault_plan = self.environment.build_fault_plan(self.config, registry)
+        if self.environment.allows_post_ts_crashes(registry):
+            self.allow_post_ts_crashes = True
+
+    def build_network(self, config: SimulationConfig, rng: SeededRng) -> Network:
+        """Build the environment's network (synchrony model + adversary)."""
+        return self.environment.build_network(config, rng, self.environment_registry)
+
+    def build_simulator(self, builder: Any, *, record_envelopes: bool = True) -> Simulator:
+        """Set up one run of ``builder``'s protocol under this scenario.
+
+        Builds the network on its own randomness stream (forked from the
+        seed by scenario name), the simulator, and the builder's processes;
+        then validates and applies the fault plan and runs the post-setup
+        hook.  ``record_envelopes`` keeps the network's per-envelope log.
+        """
+        config = self.config
+        network = self.build_network(config, SeededRng(config.seed, label="net").fork(self.name))
+        network.record_envelopes = record_envelopes
+        simulator = Simulator(
+            config=config,
+            process_factory=builder.create,
+            network=network,
+            initial_values=self.initial_values,
+        )
+        builder.attach(simulator)
+        self.fault_plan.validate(
+            config.n, ts=config.ts, allow_post_ts_crashes=self.allow_post_ts_crashes
+        )
+        self.fault_plan.apply(simulator)
+        if self.post_setup is not None:
+            self.post_setup(simulator)
+        return simulator
 
     def deciders(self) -> List[int]:
         """Pids expected to decide in this scenario."""
@@ -104,8 +109,7 @@ class Scenario:
             f"seed={self.config.seed} ({self.config.params.describe()})",
             f"  faults: {self.fault_plan.describe()}",
         ]
-        if self.environment is not None:
-            lines.append(f"  environment: {self.environment.describe()}")
+        lines.append(f"  environment: {self.environment.describe()}")
         if self.notes:
             lines.append(f"  notes: {self.notes}")
         return "\n".join(lines)

@@ -17,6 +17,7 @@ from repro.harness.bench import (
     kernel_network,
     kernel_result_store,
     kernel_trace,
+    ungated_kernels,
 )
 
 
@@ -49,6 +50,21 @@ class TestComparator:
         committed = make_artifact(100.0)
         committed["kernels"] = {}  # e.g. an artifact predating these kernels
         assert compare_to_baseline(current, committed) == []
+
+    def test_kernels_in_only_one_artifact_are_reported_ungated(self):
+        current = make_artifact(100.0)
+        committed = make_artifact(100.0)
+        current["kernels"]["new_kernel"] = {"events_per_sec": 1.0}
+        committed["kernels"]["retired_kernel"] = {"events_per_sec": 1.0}
+        del committed["kernels"]["smr_serial"]
+        assert ungated_kernels(current, committed) == [
+            "new_kernel", "retired_kernel", "smr_serial"
+        ]
+        # The gate's verdict is unchanged: ungated kernels neither pass nor fail it.
+        assert compare_to_baseline(current, committed) == []
+
+    def test_matching_artifacts_have_no_ungated_kernels(self):
+        assert ungated_kernels(make_artifact(1.0), make_artifact(2.0)) == []
 
     def test_custom_tolerance(self):
         assert compare_to_baseline(make_artifact(55.0), make_artifact(100.0), tolerance=0.5) == []
@@ -145,6 +161,13 @@ class TestBenchCli:
     def test_bench_check_passes_against_equal_baseline(self, tiny_bench, tmp_path):
         (tmp_path / "BENCH_OLD.json").write_text(json.dumps(tiny_bench))
         assert main(["bench", "--quick", "--check", "--baseline-dir", str(tmp_path)]) == 0
+
+    def test_bench_check_prints_ungated_kernels(self, tiny_bench, tmp_path, capsys):
+        committed = json.loads(json.dumps(tiny_bench))
+        committed["kernels"]["retired_kernel"] = {"events_per_sec": 1.0}
+        (tmp_path / "BENCH_OLD.json").write_text(json.dumps(committed))
+        assert main(["bench", "--quick", "--check", "--baseline-dir", str(tmp_path)]) == 0
+        assert "ungated (in only one artifact): retired_kernel" in capsys.readouterr().out
 
     def test_bench_check_fails_on_regression(self, tiny_bench, tmp_path):
         (tmp_path / "BENCH_OLD.json").write_text(json.dumps(make_artifact(1000.0)))

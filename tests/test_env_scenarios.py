@@ -226,33 +226,78 @@ class TestEnvironmentWorkload:
         assert row.environment is not None
         assert EnvironmentSpec.from_dict(row.environment).adversary.kind == "drop-all"
 
-    def test_legacy_closure_path_still_works(self):
-        from repro.net.adversary import BenignAdversary
-        from repro.net.network import Network
-        from repro.net.synchrony import EventualSynchrony
-        from repro.sim.simulator import SimulationConfig
-        from repro.workloads.scenario import Scenario
-
-        config = SimulationConfig(n=3, params=PARAMS, ts=0.0, seed=1, max_time=100.0)
-
-        def build_network(cfg, rng):
-            model = EventualSynchrony(
-                ts=cfg.ts, delta=cfg.params.delta, adversary=BenignAdversary(cfg.params.delta)
-            )
-            return Network(model=model, rng=rng)
-
-        scenario = Scenario(name="legacy-closure", config=config, build_network=build_network)
-        result = run_scenario(scenario, "modified-paxos")
-        assert result.decided_all
-        assert result.outcome().extra.get("environment") is None
-
     def test_scenario_without_network_source_rejected(self):
         from repro.sim.simulator import SimulationConfig
         from repro.workloads.scenario import Scenario
 
         config = SimulationConfig(n=3, params=PARAMS, ts=0.0, seed=1, max_time=100.0)
-        with pytest.raises(ConfigurationError, match="environment or a build_network"):
+        with pytest.raises(TypeError, match="environment"):
             Scenario(name="empty", config=config)
+
+
+class TestBuildSimulator:
+    """Scenario.build_simulator is the one setup path of every run kind."""
+
+    @staticmethod
+    def builder(protocol="modified-paxos"):
+        from repro.consensus.registry import default_registry
+
+        return default_registry().create(protocol)
+
+    def test_build_network_delegates_to_the_environment(self):
+        scenario = environment_scenario("drop-all", n=3, params=PARAMS, seed=1)
+        config = scenario.config
+        via_scenario = scenario.build_network(config, SeededRng(1, label="net"))
+        via_spec = scenario.environment.build_network(config, SeededRng(1, label="net"))
+        assert type(via_scenario) is type(via_spec)
+        assert type(via_scenario.model) is type(via_spec.model)
+        assert type(via_scenario.model.adversary) is type(via_spec.model.adversary)
+
+    def test_sets_up_every_process_without_starting(self):
+        scenario = environment_scenario("stable", n=5, params=PARAMS, seed=2)
+        builder = self.builder()
+        simulator = scenario.build_simulator(builder)
+        assert builder.simulator is simulator
+        assert sorted(simulator.nodes) == list(range(5))
+        assert simulator.events_processed == 0 and simulator.decided_pids() == []
+        assert simulator.network.record_envelopes
+        assert not scenario.build_simulator(self.builder(), record_envelopes=False) \
+            .network.record_envelopes
+
+    def test_applies_the_fault_plan_and_post_setup_hook(self):
+        registry = default_workload_registry()
+        scenario = registry.create("coordinator-crash", n=5, params=PARAMS, seed=3)
+        hooked = []
+        scenario.post_setup = hooked.append
+        simulator = scenario.build_simulator(self.builder())
+        assert hooked == [simulator]
+        simulator.run_until_decided(scenario.deciders())
+        assert sorted(simulator.crashed_pids()) == sorted(scenario.fault_plan.final_down())
+        assert set(scenario.deciders()) <= set(simulator.decided_pids())
+
+    def test_invalid_fault_plan_rejected_before_running(self):
+        from repro.env.spec import AdversarySpec, FaultSpec
+        from repro.sim.simulator import SimulationConfig
+        from repro.workloads.scenario import Scenario
+
+        config = SimulationConfig(n=3, params=PARAMS, ts=10.0, seed=1, max_time=100.0)
+        environment = EnvironmentSpec(
+            adversary=AdversarySpec("benign"),
+            faults=FaultSpec("crash-forever", {"pids": [0, 1], "time": 1.0}),
+        )
+        scenario = Scenario(name="majority-down", config=config, environment=environment)
+        with pytest.raises(ConfigurationError):
+            scenario.build_simulator(self.builder())
+
+    def test_same_seed_gives_the_same_run(self):
+        runs = []
+        for _ in range(2):
+            scenario = environment_scenario("lossy-chaos", n=5, params=PARAMS, seed=6)
+            simulator = scenario.build_simulator(self.builder())
+            simulator.run_until_decided(scenario.deciders())
+            runs.append((simulator.events_processed, simulator.now(),
+                         sorted(simulator.decisions.items())))
+        assert runs[0] == runs[1]
 
 
 class TestCli:

@@ -5,8 +5,8 @@ Covers the three behavioural surfaces the allocation-free refactor touched:
 * ``cancellable=False`` scheduling through the simulator,
 * ``record_envelopes=False`` runs (monitor counters must stay correct while
   the per-envelope log stays empty),
-* per-network ``msg_id`` streams (deterministic without the deprecated
-  global reset helper),
+* per-network ``msg_id`` streams (deterministic without any global reset
+  helper),
 
 plus the seeded-equivalence oracle: three protocols x three workloads whose
 decision/trace digests were captured on the pre-refactor tree (PR1, commit
@@ -23,7 +23,7 @@ from repro.core.messages import Phase1a
 from repro.harness.executors import RunTask
 from repro.harness.experiment import ExperimentSpec
 from repro.harness.runner import run_scenario
-from repro.net.message import Envelope, Era, reset_envelope_ids
+from repro.net.message import Envelope, Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.params import TimingParams
@@ -151,13 +151,22 @@ class TestEnvelopeLogOptOut:
         assert len(after) == len(before) + 1
         assert after[-1].message.mbal == 99
 
-    def test_experiment_spec_defaults_log_off(self):
+    def test_executed_tasks_run_with_log_off(self, monkeypatch):
+        import repro.harness.executors as executors
+
+        flags = []
+
+        def recording_run_scenario(*args, **kwargs):
+            flags.append(kwargs["record_envelopes"])
+            return run_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "run_scenario", recording_run_scenario)
         spec = ExperimentSpec(workload="stable", protocols=("modified-paxos",), seeds=(1,),
                               base={"n": 3, "params": PARAMS})
-        tasks = spec.tasks()
-        assert all(task.record_envelopes is False for task in tasks)
-        # Direct tasks keep the analysis-friendly default.
-        assert RunTask(protocol="p", workload="w").record_envelopes is True
+        for task in spec.tasks() + [RunTask(protocol="modified-paxos", workload="stable",
+                                            workload_kwargs={"n": 3, "params": PARAMS})]:
+            executors.execute_task(task)
+        assert flags == [False, False]
 
 
 class TestPerNetworkMessageIds:
@@ -200,24 +209,9 @@ class TestPerNetworkMessageIds:
         assert injected.msg_id == sent.msg_id + 1
         assert injected.era is Era.PRE
 
-    def test_reset_helper_warns_exactly_once_per_call(self):
-        # The deprecation must fire on every call (exactly one warning per
-        # call, none swallowed by the "default" filter's once-per-location
-        # rule) so the remaining out-of-repo callers all see it.
-        import warnings
-
-        for _ in range(2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                reset_envelope_ids()
-            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "per-Network" in str(deprecations[0].message)
-
     def test_no_other_in_repo_callers_remain(self):
-        # The deprecation test above is the only place in the repository
-        # that still invokes the helper (PR2 migrated every real caller to
-        # per-network id streams).
+        # The global reset helper is gone: every caller moved to per-network
+        # id streams, so nothing may call it again.
         import subprocess
         import sys
         from pathlib import Path
@@ -226,10 +220,10 @@ class TestPerNetworkMessageIds:
         hits = []
         for path in (root / "src").rglob("*.py"):
             text = path.read_text(encoding="utf-8")
-            if "reset_envelope_ids(" in text and path.name != "message.py":
+            if "reset_envelope_ids(" in text:
                 hits.append(str(path))
         assert hits == []
-        # And importing the package must not trigger the warning.
+        # And importing the package must not emit a deprecation warning.
         code = (
             "import warnings; warnings.simplefilter('error', DeprecationWarning); "
             "import repro"

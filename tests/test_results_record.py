@@ -21,9 +21,12 @@ from repro.harness.executors import RunTask, execute_task
 from repro.results.record import (
     SCHEMA_VERSION,
     RunRecord,
+    check_schema_version,
     content_key_for_task,
+    decode_record_json,
     task_fingerprint,
 )
+from repro.results.smr_record import SmrRecord
 from repro.workloads.registry import default_workload_registry
 
 PARAMS = make_params()
@@ -174,7 +177,7 @@ class TestContentKey:
         lenient = RunTask(protocol=base.protocol, workload=base.workload,
                           workload_kwargs=dict(base.workload_kwargs),
                           tags=dict(base.tags), enforce_safety=False,
-                          enforce_invariants=False, record_envelopes=False)
+                          enforce_invariants=False)
         assert content_key_for_task(base) == content_key_for_task(lenient)
 
     def test_unserializable_task_argument_rejected(self):
@@ -267,3 +270,33 @@ class TestSchemaVersioning:
             RunRecord.from_dict({"schema_version": 1, "key": "only-a-key"})
         with pytest.raises(ResultSchemaError):
             RunRecord.from_json("not json at all {")
+
+    def test_version_check_accepts_every_readable_version(self):
+        for version in range(1, SCHEMA_VERSION + 1):
+            assert check_schema_version({"schema_version": version}) == version
+
+    @pytest.mark.parametrize("version", [0, -1, "1", 1.5])
+    def test_version_check_rejects_invalid_versions(self, version):
+        with pytest.raises(ResultSchemaError, match="no valid schema_version"):
+            check_schema_version({"schema_version": version})
+
+    def test_both_record_kinds_share_the_version_check(self):
+        newer = {"schema_version": SCHEMA_VERSION + 1}
+        messages = set()
+        for decode, data in ((RunRecord.from_dict, newer),
+                             (SmrRecord.from_dict, dict(newer, kind="smr"))):
+            with pytest.raises(ResultSchemaError, match="newer") as error:
+                decode(data)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"a string"', "3", "null"])
+    def test_record_json_must_be_an_object(self, text):
+        for decode in (RunRecord.from_json, SmrRecord.from_json, decode_record_json):
+            with pytest.raises(ResultSchemaError, match="must be an object"):
+                decode(text)
+
+    def test_invalid_json_rejected_by_every_decoder(self):
+        for decode in (RunRecord.from_json, SmrRecord.from_json, decode_record_json):
+            with pytest.raises(ResultSchemaError, match="invalid record JSON"):
+                decode('{"schema_version": 1,')

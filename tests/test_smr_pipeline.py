@@ -1,4 +1,4 @@
-"""The unified SMR pipeline (PR 5): declarative tasks, executors, E9 parity.
+"""The unified SMR pipeline: declarative tasks, executors, E9 parity.
 
 The tentpole contract: SMR is a first-class workload family — declarative
 :class:`SmrTask`\\ s run through the same executors as single-decree tasks,
@@ -10,21 +10,24 @@ tables (and replica digests) to the retired side harness that drove
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
+from repro.consensus.values import RunOutcome
 from repro.harness.executors import (
     ParallelExecutor,
+    RunTask,
     SerialExecutor,
     SmrTask,
     execute_smr_task,
     execute_task,
     machine_factory_for,
 )
-from repro.harness.experiment import SmrExperimentSpec, run_smr_tasks
+from repro.harness.experiment import ResultSet, run_tasks, run_smr_tasks
 from repro.harness.experiments import (
     default_experiment_params,
     experiment_e9_smr_stable_case,
 )
-from repro.harness.sweep import smr_sweep
 from repro.harness.tables import ExperimentTable
+from repro.results import JsonlStore
+from repro.results.record import record_for_task
 from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
@@ -131,8 +134,6 @@ class TestExecutorIntegration:
         assert parallel == serial
 
     def test_mixed_batches_execute_both_kinds(self):
-        from repro.harness.executors import RunTask
-
         run = RunTask(protocol="modified-paxos", workload="stable",
                       workload_kwargs={"n": 3, "params": PARAMS, "seed": 1})
         smr = stable_task()
@@ -308,30 +309,94 @@ class TestE9Parity:
 
 
 class TestSmrGrids:
-    def test_spec_expands_grid_and_seeds(self):
-        spec = SmrExperimentSpec(
-            workload="smr-stable",
-            schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
-            seeds=(1, 2),
-            base={"params": PARAMS},
-            grid={"n": (3, 5)},
-        )
-        tasks = spec.tasks()
-        assert len(tasks) == 4
-        assert [task.workload_kwargs["n"] for task in tasks] == [3, 3, 5, 5]
-        assert [task.tags["seed"] for task in tasks] == [1, 2, 1, 2]
-
     def test_smr_sweep_runs_and_tags_rows(self):
-        rows = smr_sweep(
-            "n", (3, 5),
-            workload="smr-stable",
-            schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
-            seeds=(1,),
-            workload_kwargs={"params": PARAMS},
-        )
+        # An SMR sweep is a list of SmrTasks, one per swept value.
+        schedule = ScheduleSpec(num_commands=2, start=10.0, interval=0.7)
+        rows = run_tasks([
+            SmrTask(workload="smr-stable", schedule=schedule,
+                    workload_kwargs={"params": PARAMS, "n": n, "seed": 1},
+                    tags={"n": n, "seed": 1})
+            for n in (3, 5)
+        ])
         assert [row.tag("n") for row in rows] == [3, 5]
         assert all(row.outcome.all_commands_learned_everywhere for row in rows)
 
     def test_run_smr_tasks_rejects_executor_and_jobs(self):
         with pytest.raises(ExperimentError, match="not both"):
-            run_smr_tasks([stable_task()], executor=SerialExecutor(), jobs=2)
+            run_tasks([stable_task()], executor=SerialExecutor(), jobs=2)
+
+    def test_run_smr_tasks_is_the_one_pipeline(self):
+        # Kept as a name only: the benchmark harness imports it.
+        assert run_smr_tasks is run_tasks
+
+    def test_empty_batch_gives_an_empty_result_set(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        results = run_tasks([], store=JsonlStore(path), resume=True, executor=NoExecution())
+        assert isinstance(results, ResultSet) and len(results) == 0
+        with JsonlStore(path) as store:
+            assert list(store.records()) == []
+
+
+class TestMixedKindPipeline:
+    """One run_tasks call over run and SMR tasks: serial = parallel = resumed."""
+
+    def tasks(self):
+        return [
+            RunTask(protocol="modified-paxos", workload="partitioned-chaos",
+                    workload_kwargs={"n": 3, "params": PARAMS, "ts": 10.0, "seed": 1},
+                    tags={"case": "chaos"}),
+            stable_task(seed=1),
+            RunTask(protocol="traditional-paxos", workload="stable",
+                    workload_kwargs={"n": 3, "params": PARAMS, "seed": 2},
+                    tags={"case": "stable"}),
+            stable_task(seed=2, target_pid=0),
+        ]
+
+    @staticmethod
+    def records(results):
+        return [record_for_task(row.task, row.outcome).to_json() for row in results]
+
+    def test_serial_parallel_and_resumed_runs_are_identical(self, tmp_path):
+        tasks = self.tasks()
+        serial = run_tasks(tasks)
+        assert [type(row.outcome) for row in serial] == [
+            RunOutcome, SmrOutcome, RunOutcome, SmrOutcome
+        ]
+        with ParallelExecutor(jobs=2) as pool:
+            parallel = run_tasks(tasks, executor=pool)
+
+        path = tmp_path / "mixed.jsonl"
+        run_tasks(tasks, store=JsonlStore(path))
+        resumed = run_tasks(tasks, store=JsonlStore(path), resume=True,
+                            executor=NoExecution())
+
+        for other in (parallel, resumed):
+            assert [row.task for row in other] == tasks
+            assert [row.outcome for row in other] == [row.outcome for row in serial]
+            assert self.records(other) == self.records(serial)
+        with JsonlStore(path) as store:
+            assert [record.to_json() for record in store.records()] == self.records(serial)
+
+    def test_partial_store_executes_only_the_missing_kind(self, tmp_path):
+        tasks = self.tasks()
+        path = tmp_path / "mixed.jsonl"
+        run_tasks(tasks[:2], store=JsonlStore(path))
+        executed = []
+
+        class Recording(SerialExecutor):
+            def imap(self, batch):
+                executed.extend(batch)
+                return super().imap(batch)
+
+        resumed = run_tasks(tasks, store=JsonlStore(path), resume=True, executor=Recording())
+        assert executed == tasks[2:]
+        assert self.records(resumed) == self.records(run_tasks(tasks))
+
+
+class NoExecution(SerialExecutor):
+    """An executor for fully cached batches: executing anything is a test failure."""
+
+    def imap(self, tasks):
+        tasks = list(tasks)
+        assert not tasks, f"resume executed {len(tasks)} cached tasks"
+        return iter(())

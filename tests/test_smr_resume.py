@@ -1,4 +1,4 @@
-"""Resume semantics for store-backed SMR runs and the E9 campaign (PR 5).
+"""Resume semantics for store-backed SMR runs and the E9 campaign.
 
 The acceptance scenario: ``run_campaign(["E9"], store=..., resume=True)``
 interrupted after k of m SMR runs re-executes exactly m−k on resume and
@@ -11,10 +11,9 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.harness.campaign import run_campaign, write_report
-from repro.harness.executors import SerialExecutor, SmrTask
-from repro.harness.experiment import run_smr_tasks
+from repro.harness.executors import SerialExecutor, SmrTask, execute_task
+from repro.harness.experiment import run_tasks
 from repro.harness.experiments import default_experiment_params
-from repro.harness.sweep import smr_sweep
 from repro.results import JsonlStore
 from repro.results.record import content_key_for_task
 from repro.results.smr_record import SmrRecord
@@ -33,7 +32,7 @@ class CountingExecutor(SerialExecutor):
     def imap(self, tasks):
         for task in tasks:
             self.executed += 1
-            yield self._execute_one(task)
+            yield execute_task(task)
 
 
 class DyingExecutor(SerialExecutor):
@@ -49,7 +48,7 @@ class DyingExecutor(SerialExecutor):
             if self.executed >= self.fail_after:
                 raise KeyboardInterrupt("simulated mid-campaign kill")
             self.executed += 1
-            yield self._execute_one(task)
+            yield execute_task(task)
 
 
 def smr_tasks(n=3, seeds=(1, 2, 3)):
@@ -68,7 +67,7 @@ class TestRunSmrTasksResume:
     def test_fresh_run_streams_all_records(self, tmp_path):
         store = JsonlStore(tmp_path / "smr.jsonl")
         tasks = smr_tasks()
-        rows = run_smr_tasks(tasks, store=store)
+        rows = run_tasks(tasks, store=store)
         assert len(rows) == 3
         assert set(store.keys()) == {content_key_for_task(task) for task in tasks}
         assert all(isinstance(record, SmrRecord) for record in store.records())
@@ -76,9 +75,9 @@ class TestRunSmrTasksResume:
     def test_full_resume_executes_nothing(self, tmp_path):
         store = JsonlStore(tmp_path / "smr.jsonl")
         tasks = smr_tasks()
-        fresh = run_smr_tasks(tasks, store=store)
+        fresh = run_tasks(tasks, store=store)
         counting = CountingExecutor()
-        resumed = run_smr_tasks(tasks, store=store, resume=True, executor=counting)
+        resumed = run_tasks(tasks, store=store, resume=True, executor=counting)
         assert counting.executed == 0
         assert [row.outcome for row in resumed] == [row.outcome for row in fresh]
 
@@ -87,20 +86,20 @@ class TestRunSmrTasksResume:
         m, k = len(tasks), 1
         store = JsonlStore(tmp_path / "smr.jsonl")
         with pytest.raises(KeyboardInterrupt):
-            run_smr_tasks(tasks, store=store, executor=DyingExecutor(fail_after=k))
+            run_tasks(tasks, store=store, executor=DyingExecutor(fail_after=k))
         # Streaming writes: everything finished before the kill is durable.
         assert len(JsonlStore(tmp_path / "smr.jsonl")) == k
 
         counting = CountingExecutor()
-        resumed = run_smr_tasks(tasks, store=store, resume=True, executor=counting)
+        resumed = run_tasks(tasks, store=store, resume=True, executor=counting)
         assert counting.executed == m - k
         assert [row.outcome for row in resumed] == [
-            row.outcome for row in run_smr_tasks(tasks)
+            row.outcome for row in run_tasks(tasks)
         ]
 
     def test_resume_without_store_rejected(self):
         with pytest.raises(ExperimentError, match="store"):
-            run_smr_tasks(smr_tasks(), resume=True)
+            run_tasks(smr_tasks(), resume=True)
 
 
 class TestE9CampaignResume:
@@ -143,15 +142,19 @@ class TestE9CampaignResume:
 
 class TestSmrSweepResume:
     def test_sweep_store_and_resume(self, tmp_path):
+        # An SMR sweep is a list of SmrTasks, one per swept value.
         store = JsonlStore(tmp_path / "sweep.jsonl")
         schedule = ScheduleSpec(num_commands=2, start=10.0, interval=0.7)
-        fresh = smr_sweep("n", (3, 5), workload="smr-stable", schedule=schedule,
-                          seeds=(1,), workload_kwargs={"params": PARAMS}, store=store)
+        tasks = [
+            SmrTask(workload="smr-stable", schedule=schedule,
+                    workload_kwargs={"params": PARAMS, "n": n, "seed": 1},
+                    tags={"n": n, "seed": 1})
+            for n in (3, 5)
+        ]
+        fresh = run_tasks(tasks, store=store)
         assert len(store) == 2
 
         counting = CountingExecutor()
-        resumed = smr_sweep("n", (3, 5), workload="smr-stable", schedule=schedule,
-                            seeds=(1,), workload_kwargs={"params": PARAMS},
-                            store=store, resume=True, executor=counting)
+        resumed = run_tasks(tasks, store=store, resume=True, executor=counting)
         assert counting.executed == 0
         assert [row.outcome for row in resumed] == [row.outcome for row in fresh]
