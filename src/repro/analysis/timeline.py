@@ -1,8 +1,9 @@
 """Per-process timelines: how a run unfolded, process by process.
 
-The trace contains everything; this module folds it into a per-process
-sequence of milestones (start, crashes/restarts, session or round entries,
-phase-2 proposals, decision) and renders the result as text.  It is the tool
+This module folds the trace into a per-process sequence of milestones
+(start, crashes/restarts, session or round entries, phase-2 proposals,
+decision — the events :data:`~repro.analysis.trace.TRACE_EVENTS` marks as
+milestones) and renders the result as text.  It is the tool
 to reach for when a run is slower than expected: the timeline makes it
 obvious which process was waiting for what.
 """
@@ -12,20 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.trace import TraceRecorder
+from repro.analysis.trace import TRACE_EVENTS, TraceRecorder
 
 __all__ = ["Milestone", "ProcessTimeline", "extract_timelines", "render_timelines"]
 
+# event name -> its category, for the events the vocabulary marks as milestones.
 _MILESTONE_EVENTS = {
-    "start": "node",
-    "restart": "node",
-    "crash": "node",
-    "session_enter": "protocol",
-    "round_enter": "protocol",
-    "start_phase1": "protocol",
-    "phase2a": "protocol",
-    "leader_established": "protocol",
-    "decide": "sim",
+    event: category for (category, event), kind in TRACE_EVENTS.items() if kind.milestone
 }
 
 

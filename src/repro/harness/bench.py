@@ -26,7 +26,8 @@ Kernels deliberately exercise *disjoint* layers:
 ``network``
     Nine processes flooding broadcasts on a short timer.  Measures the full
     send → fate → schedule → deliver path (envelopes/sec); variants toggle
-    tracing and the per-envelope log.
+    tracing and the per-envelope log.  Messages and timer firings are not
+    traced, so the two variants differ only by the envelope log.
 ``event_queue``
     Raw ``EventQueue`` push/pop without a simulator.
 ``trace_record``

@@ -8,6 +8,11 @@ mechanism used to install reachable pre-stabilization states (obsolete
 high-ballot messages and the like) without replaying the whole pre-``TS``
 history.
 
+The envelope log behind :attr:`Network.envelopes` is the per-message
+record of a run: every send, injection and duplicate copy with its source,
+destination, kind, message id, send and delivery time, and dropped flag.
+The structured trace does not repeat it (see :mod:`repro.analysis.trace`).
+
 The send/deliver path is the hottest code outside the event queue, so it
 avoids per-message allocations where it can: message ids come from a plain
 per-network integer counter (deterministic per run, no global state),
@@ -61,9 +66,10 @@ class Network:
         rng: Randomness stream for delays and duplication coins.
         monitor: Message accounting sink (a fresh one is created if omitted).
         record_envelopes: Keep the full per-envelope log behind
-            :attr:`envelopes`.  On by default for tests and analysis; switch
-            off for benchmarks and campaign runs, where the log grows without
-            bound and nothing reads it.
+            :attr:`envelopes`, the per-message record for debugging.  On by
+            default for tests and analysis; switch off for benchmarks and
+            campaign runs, where the log grows without bound and nothing
+            reads it.
     """
 
     def __init__(

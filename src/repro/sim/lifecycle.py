@@ -167,9 +167,6 @@ class Node:
     def _on_timer_fired(self, name: str) -> None:
         if not self.is_active or self.process is None:
             return
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(self.simulator.now(), "node", "timer", pid=self.pid, name=name)
         self.process.on_timer(name)
 
     def _decide(self, value: Any) -> None:

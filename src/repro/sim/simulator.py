@@ -128,8 +128,7 @@ class Simulator:
             self.proposals[pid] = value
 
         self.network.bind(self)
-        # Hot-path caches: bound dict lookup for delivery dispatch, and the
-        # trace object whose ``enabled`` flag gates every record call site.
+        # Hot-path cache: bound dict lookup for delivery dispatch.
         self._nodes_get = self.nodes.get
 
     # -- time & scheduling -----------------------------------------------------
@@ -181,39 +180,20 @@ class Simulator:
 
     # -- transport host interface -------------------------------------------------
     def transmit(self, message: Message, src: int, dst: int) -> None:
-        """Send a protocol message (called by nodes through their context)."""
-        envelope = self.network.send(message, src, dst)
-        trace = self.trace
-        if trace.enabled:
-            trace.record(
-                self._time,
-                "net",
-                "send",
-                pid=src,
-                dst=dst,
-                kind=envelope.kind,
-                msg_id=envelope.msg_id,
-                dropped=envelope.dropped,
-            )
+        """Send a protocol message (called by nodes through their context).
+
+        Messages are not traced: the network's envelope log
+        (:attr:`~repro.net.network.Network.envelopes`) is the per-message
+        record, and its monitor keeps the counters.
+        """
+        self.network.send(message, src, dst)
 
     def deliver_envelope(self, envelope: Envelope) -> bool:
         """Deliver an envelope to its destination node (network callback)."""
         node = self._nodes_get(envelope.dst)
         if node is None:
             return False
-        accepted = node.deliver(envelope)
-        trace = self.trace
-        if trace.enabled:
-            trace.record(
-                self._time,
-                "net",
-                "deliver" if accepted else "deliver_to_crashed",
-                pid=envelope.dst,
-                src=envelope.src,
-                kind=envelope.kind,
-                msg_id=envelope.msg_id,
-            )
-        return accepted
+        return node.deliver(envelope)
 
     # -- decisions ----------------------------------------------------------------
     def record_decision(self, pid: int, value: Any, incarnation: int) -> None:

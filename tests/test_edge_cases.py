@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.invariants import check_session_entry_rule
 from repro.core.timing import decision_bound
+from repro.errors import InvariantViolation
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 from repro.workloads.chaos import partitioned_chaos_scenario
@@ -111,7 +113,7 @@ class TestTraceLimits:
 
         params = make_params()
         config = SimulationConfig(
-            n=3, params=params, ts=0.0, seed=1, max_time=50.0, trace_capacity=20
+            n=3, params=params, ts=0.0, seed=1, max_time=50.0, trace_capacity=5
         )
         builder = ModifiedPaxosBuilder()
         network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
@@ -119,16 +121,32 @@ class TestTraceLimits:
         builder.attach(simulator)
         simulator.run_until_decided()
         assert simulator.trace.truncated
-        assert len(simulator.trace) == 20
+        assert len(simulator.trace) == 5
         assert len(simulator.decisions) == 3
+        report = check_session_entry_rule(simulator.trace, 3)
+        assert not report.ok
+        assert report.violations[0].startswith("trace truncated after 5 events")
 
-    def test_trace_disabled_still_runs(self):
+    @staticmethod
+    def _untraced_scenario():
         params = make_params()
         scenario = stable_scenario(3, params=params, seed=2)
         scenario.config = type(scenario.config)(
             n=3, params=params, ts=0.0, seed=2, max_time=scenario.config.max_time,
             trace_enabled=False,
         )
-        result = run_scenario(scenario, "modified-paxos")
+        return scenario
+
+    def test_trace_disabled_fails_the_invariants(self):
+        with pytest.raises(InvariantViolation, match="trace disabled"):
+            run_scenario(self._untraced_scenario(), "modified-paxos")
+
+    def test_trace_disabled_still_runs(self):
+        result = run_scenario(
+            self._untraced_scenario(), "modified-paxos", enforce_invariants=False
+        )
         assert result.decided_all
         assert len(result.simulator.trace) == 0
+        report = result.invariants["session-entry-rule"]
+        assert not report.ok and report.checked == 0
+        assert report.violations == ["trace disabled: the check saw no events"]

@@ -126,3 +126,77 @@ class TestPhase2aInvariants:
         assert check_single_session_leadership(trace, n=3).ok
         trace.record(2.0, "protocol", "phase2a", pid=1, ballot=6, value="v")  # 6 % 3 == 0: bad
         assert not check_single_session_leadership(trace, n=3).ok
+
+
+ALL_TRACE_CHECKS = [
+    check_session_entry_rule,
+    check_rotating_round_entry,
+    check_unique_phase2a_value,
+    check_single_session_leadership,
+]
+
+
+class TestChecksThatCannotSeeTheirInput:
+    @pytest.mark.parametrize("check", ALL_TRACE_CHECKS)
+    def test_disabled_trace_is_a_violation(self, check):
+        trace = TraceRecorder(enabled=False)
+        trace.record(1.0, "protocol", "phase2a", pid=2, ballot=5, value="v")
+        report = check(trace, n=3)
+        assert report.checked == 0
+        assert report.violations == ["trace disabled: the check saw no events"]
+        with pytest.raises(InvariantViolation, match="trace disabled"):
+            report.raise_if_violated()
+
+    @pytest.mark.parametrize("check", ALL_TRACE_CHECKS)
+    def test_truncated_trace_is_a_violation(self, check):
+        trace = TraceRecorder(capacity=2)
+        for time in (1.0, 2.0, 3.0):
+            trace.record(time, "protocol", "phase2a", pid=2, ballot=5, value="v")
+        assert trace.truncated
+        report = check(trace, n=3)
+        assert report.violations[0] == (
+            "trace truncated after 2 events: the check saw only a prefix"
+        )
+
+    def test_truncated_trace_still_reports_what_it_saw(self):
+        trace = TraceRecorder(capacity=2)
+        trace.record(1.0, "protocol", "phase2a", pid=0, ballot=5, value="v")
+        trace.record(2.0, "protocol", "phase2a", pid=1, ballot=5, value="w")
+        trace.record(3.0, "protocol", "phase2a", pid=1, ballot=5, value="x")
+        report = check_unique_phase2a_value(trace, n=3)
+        assert report.checked == 1
+        assert len(report.violations) == 2
+        assert "2 different phase-2a values" in report.violations[1]
+
+    def test_full_trace_with_nothing_to_check_passes(self):
+        report = check_session_entry_rule(TraceRecorder(), n=3)
+        assert report.ok and report.checked == 0
+
+
+class TestSmrSessionEntryRuleWithoutTrace:
+    def _untraced_scenario(self):
+        from dataclasses import replace
+
+        from repro.workloads.smr import smr_stable_scenario
+
+        scenario = smr_stable_scenario(3, seed=1)
+        scenario.config = replace(scenario.config, trace_enabled=False)
+        return scenario
+
+    def _schedule(self):
+        from repro.smr.workload import ScheduleSpec
+
+        return ScheduleSpec(num_commands=2, start=10.0, interval=1.0).to_schedule(3)
+
+    def test_smr_run_fails_loudly(self):
+        from repro.smr.runner import run_smr
+
+        with pytest.raises(InvariantViolation, match="trace disabled"):
+            run_smr(self._untraced_scenario(), self._schedule())
+
+    def test_smr_report_is_not_ok_when_not_enforced(self):
+        from repro.smr.runner import run_smr
+
+        result = run_smr(self._untraced_scenario(), self._schedule(), enforce_consistency=False)
+        report = result.invariants["session-entry-rule"]
+        assert not report.ok and report.checked == 0

@@ -9,9 +9,14 @@ Covers the three behavioural surfaces the allocation-free refactor touched:
   helper),
 
 plus the seeded-equivalence oracle: three protocols x three workloads whose
-decision/trace digests were captured on the pre-refactor tree (PR1, commit
-dcb8a75).  Any change to event ordering, RNG consumption, envelope ids, or
-trace payloads shows up here as a digest mismatch.
+decision/trace/envelope digests pin every observable of a seeded run.  Any
+change to event ordering, RNG consumption, envelope ids, or trace payloads
+shows up here as a digest mismatch.  The digests were first captured on the
+pre-refactor tree (commit dcb8a75), when the trace still held a record per
+message and timer firing; they were recaptured when those records left the
+trace, with the envelope log taking their place in the digest, after checking
+that the previous tree (still matching the first digests) gives the same new
+digests once its per-message and timer records are filtered out.
 """
 
 import hashlib
@@ -33,17 +38,17 @@ from repro.workloads.stable import stable_scenario
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
-# sha256 digests captured on the pre-refactor tree (see module docstring).
+# sha256 digests of run_digest (see module docstring).
 ORACLE_DIGESTS = {
-    "modified-paxos/stable": "9cb940af944164acba32a0b056c953f898e8ea3ad13b43708bddc4f39e77efcd",
-    "modified-paxos/partitioned-chaos": "4c0c7007400b795b2ffed590b219b198c4faddc911e67d08a23348bef8de13ff",
-    "modified-paxos/lossy-chaos": "c11fdf1d9d5293c9dc1ac273d40e689706d24f0f88380c29e2f81b8ef053b37d",
-    "traditional-paxos/stable": "f03fa429a9583e1844de6b7005e43ba5abd19614ed713df8dc20eca977347938",
-    "traditional-paxos/partitioned-chaos": "3b7ab410be46c66e8b540f2b20d4b05ae5852327ba90899e4bfa35d21da0b452",
-    "traditional-paxos/lossy-chaos": "28ed1355c0dd660aa9714eda8efb46b616685e46a675faadd7be4d66b5f06e32",
-    "rotating-coordinator/stable": "92425bfd35ebea8bb10422706b31d4ae0ce4f932bf6b5c0872f9eb58357b786d",
-    "rotating-coordinator/partitioned-chaos": "f4d9b11aa1c88852d3c3891c907cb8290589c448e4c00da780d4a9cc598d98c5",
-    "rotating-coordinator/lossy-chaos": "6ad0549fb8399773c4813dd99f52bf49ca9d86938739e32e7276573f804a9b4f",
+    "modified-paxos/stable": "b1d2433b51f7329c8c2eb98e807138c7408407937db460355faf9adae54ae90e",
+    "modified-paxos/partitioned-chaos": "25d5978cf04ee0ad34b4508235b9c8e8674ef218fe4f270e8d144c5e2d4efc39",
+    "modified-paxos/lossy-chaos": "35c29c92ffab70698253792b68b1cf3dd604c7ccb94bf88524ea33d55fea35df",
+    "traditional-paxos/stable": "31d4d9b486de4dfd6b6e1f60db5608de05dc87e665ae0ed1d22f832e2536ca82",
+    "traditional-paxos/partitioned-chaos": "1081d6ba625e8603ab7bbc1b98856cdfd3f3ab9a81c020096eeabb5b45422c76",
+    "traditional-paxos/lossy-chaos": "ec30087756e67d6a46bcc30f5cac24f4ed7d1163ce9fd2b66ce71fb065cefbdb",
+    "rotating-coordinator/stable": "55c7a04620a06cb14f9f08927055e2b6e1fdfc690d2498cd521fdf3572c245af",
+    "rotating-coordinator/partitioned-chaos": "4ddcac5e808e793f7f8980ec3389009132675ba99eb7d29c35549d6b44ad0225",
+    "rotating-coordinator/lossy-chaos": "9d4039ea2c9f171574327a712223aa07b459023a2831924fb3349ae8a9ab49fa",
 }
 
 WORKLOAD_KWARGS = {
@@ -72,6 +77,12 @@ def run_digest(protocol: str, workload: str) -> str:
             (round(e.time, 9), e.category, e.event, e.pid,
              sorted((k, repr(v)) for k, v in e.fields.items()))
             for e in sim.trace
+        ],
+        "envelopes": [
+            (e.msg_id, e.src, e.dst, e.kind, round(e.send_time, 9),
+             None if e.deliver_time is None else round(e.deliver_time, 9),
+             e.dropped, e.duplicated_from)
+            for e in sim.network.envelopes
         ],
     }
     blob = json.dumps(payload, sort_keys=True).encode()
