@@ -227,13 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
                               help="smaller kernels for CI and smoke testing")
     bench_parser.add_argument("--check", action="store_true",
                               help="fail if a kernel regressed vs. the last committed BENCH_*.json")
-    bench_parser.add_argument("--tolerance", type=float, default=0.2,
+    bench_parser.add_argument("--tolerance", type=_tolerance, default=0.2,
                               help="allowed fractional regression for --check (default 0.2)")
     bench_parser.add_argument("--baseline-dir", default=".",
                               help="directory searched for committed BENCH_*.json artifacts")
     bench_parser.add_argument("--baseline-file", default=None,
                               help="embed this earlier measurement and speedups into the artifact")
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance`` parser: a fraction in [0, 1), checked before any kernel runs."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
 
 
 def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:

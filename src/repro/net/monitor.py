@@ -2,15 +2,15 @@
 
 The monitor sees every envelope the network handles and aggregates the
 counts the experiments need: totals by fate and era, per-kind breakdowns,
-and a time series of send counts used by the ε-tradeoff experiment (E6) to
-report messages per second during the stable period.
+and the send times the ε-tradeoff experiment (E6) uses to report messages
+per second during the stable period.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.net.message import Envelope, Era
 
@@ -31,31 +31,13 @@ class MessageStats:
     by_kind: Counter = field(default_factory=Counter)
     delivered_by_kind: Counter = field(default_factory=Counter)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "to_crashed": self.to_crashed,
-            "sent_pre_ts": self.sent_pre_ts,
-            "sent_post_ts": self.sent_post_ts,
-            "by_kind": dict(self.by_kind),
-            "delivered_by_kind": dict(self.delivered_by_kind),
-        }
-
 
 class NetworkMonitor:
     """Observes every envelope and answers rate/count queries."""
 
-    def __init__(self, bucket_width: float = 1.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self.bucket_width = bucket_width
+    def __init__(self) -> None:
         self.stats = MessageStats()
         self._send_times: List[float] = []
-        self._send_buckets: Dict[int, int] = defaultdict(int)
-        self._per_sender: Counter = Counter()
 
     # -- recording hooks (called by Network) --------------------------------
     def on_send(self, envelope: Envelope) -> None:
@@ -66,8 +48,6 @@ class NetworkMonitor:
         else:
             self.stats.sent_post_ts += 1
         self._send_times.append(envelope.send_time)
-        self._send_buckets[self._bucket(envelope.send_time)] += 1
-        self._per_sender[envelope.src] += 1
 
     def on_drop(self, envelope: Envelope) -> None:
         self.stats.dropped += 1
@@ -83,9 +63,6 @@ class NetworkMonitor:
         self.stats.to_crashed += 1
 
     # -- queries ------------------------------------------------------------
-    def sends_per_sender(self) -> Dict[int, int]:
-        return dict(self._per_sender)
-
     def sends_in_window(self, start: float, end: float) -> int:
         """Number of messages sent in the half-open real-time window [start, end)."""
         if end <= start:
@@ -97,21 +74,3 @@ class NetworkMonitor:
         if end <= start:
             return 0.0
         return self.sends_in_window(start, end) / (end - start)
-
-    def send_timeline(self) -> List[Tuple[float, int]]:
-        """(bucket start time, send count) pairs in time order."""
-        return [
-            (index * self.bucket_width, count)
-            for index, count in sorted(self._send_buckets.items())
-        ]
-
-    def peak_bucket_rate(self) -> float:
-        """Highest per-bucket send rate seen (messages per second)."""
-        if not self._send_buckets:
-            return 0.0
-        return max(self._send_buckets.values()) / self.bucket_width
-
-    def _bucket(self, time: float) -> int:
-        # float floor-division == math.floor(t / w) for the non-negative
-        # times the simulator produces, without the function-call overhead.
-        return int(time // self.bucket_width)

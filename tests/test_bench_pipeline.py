@@ -176,6 +176,20 @@ class TestBenchCli:
     def test_bench_check_without_baseline_is_not_an_error(self, tiny_bench, tmp_path):
         assert main(["bench", "--quick", "--check", "--baseline-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("tolerance", ["1.5", "-0.1", "1", "nan", "abc"])
+    def test_bench_rejects_tolerance_outside_unit_interval(self, monkeypatch, tmp_path, capsys,
+                                                           tolerance):
+        def no_kernels(quick=False, label=""):
+            raise AssertionError("kernels ran before --tolerance was checked")
+
+        monkeypatch.setattr(bench, "run_bench", no_kernels)
+        out = tmp_path / "BENCH_TEST.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick", "--check", "--tolerance", tolerance, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_embeds_baseline_file(self, tiny_bench, tmp_path):
         baseline_path = tmp_path / "seed.json"
         baseline_path.write_text(json.dumps(make_artifact(50.0)))

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.harness.campaign import campaign_plan, main, run_campaign, write_report
+from repro.harness.campaign import campaign_plan, run_campaign, write_report
 
 
 class TestPlan:
@@ -46,8 +46,3 @@ class TestReport:
         content = (tmp_path / "experiments_report.md").read_text()
         assert "E7" in content and "E3" in content
         assert "```" in content
-
-    def test_cli_main_smoke(self, tmp_path):
-        exit_code = main(["--scale", "smoke", "--experiment", "E7", "--out", str(tmp_path)])
-        assert exit_code == 0
-        assert (tmp_path / "experiments_report.md").exists()

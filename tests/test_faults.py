@@ -1,5 +1,7 @@
 """Unit tests for fault plans and schedules (`repro.faults`)."""
 
+import time
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -31,6 +33,42 @@ class TestFaultPlanConstruction:
         assert FaultPlan().describe() == "no faults"
         text = FaultPlan().crash(2, 1.5).describe()
         assert "crash p2" in text
+
+
+def _construction_seconds(num_events: int) -> float:
+    """Wall time to build a plan of ``num_events`` fluent crash/restart calls.
+
+    Crash/restart alternate per pid in ascending time order, the pattern
+    every schedule generator produces: ``bisect.insort`` lands each insert at
+    the tail, where a re-sort per call would pay a full pass every time.
+    """
+    start = time.perf_counter()
+    plan = FaultPlan()
+    for index in range(num_events // 2):
+        plan.crash(index % 64, float(index))
+        plan.restart(index % 64, index + 0.5)
+    elapsed = time.perf_counter() - start
+    assert len(plan) == (num_events // 2) * 2
+    return elapsed
+
+
+class TestFaultPlanConstructionCost:
+    def test_doubling_the_plan_is_not_quadratic(self):
+        """O(n log n) predicts ~2.2x per doubling, a quadratic insert ~4x or worse.
+
+        The 3.5x ceiling is the median of three attempts, so one scheduler
+        hiccup cannot fail it.
+        """
+        ratios = sorted(
+            _construction_seconds(80_000) / max(_construction_seconds(40_000), 1e-9)
+            for _ in range(3)
+        )
+        assert ratios[1] < 3.5, f"doubling the plan took {ratios[1]:.2f}x longer ({ratios})"
+
+    def test_40k_inserts_stay_under_two_seconds(self):
+        """~50 ms with bisect; a re-sort per insert needs ~40 s."""
+        elapsed = _construction_seconds(40_000)
+        assert elapsed < 2.0, f"40k-event plan took {elapsed:.2f}s"
 
 
 class TestStateQueries:

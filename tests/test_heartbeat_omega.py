@@ -100,12 +100,13 @@ class TestHeartbeatPaxos:
         assert result.decided_all
         assert result.safety.valid
 
-    def test_heartbeat_election_costs_little_extra_vs_omniscient(self):
+    @pytest.mark.parametrize("n, seed", [(5, 4), (7, 1), (7, 2), (7, 3)])
+    def test_heartbeat_election_costs_little_extra_vs_omniscient(self, n, seed):
         """The message-based election adds at most a few δ over the granted oracle."""
         params = make_params(rho=0.01)
         lags = {}
         for protocol in ("traditional-paxos", "traditional-paxos-heartbeat"):
-            scenario = partitioned_chaos_scenario(5, params=params, ts=8.0, seed=4)
+            scenario = partitioned_chaos_scenario(n, params=params, ts=8.0, seed=seed)
             result = run_scenario(scenario, protocol)
             assert result.decided_all
             lags[protocol] = result.max_lag_after_ts()

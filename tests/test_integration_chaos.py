@@ -72,11 +72,11 @@ class TestModifiedPaxosUnderChaos:
         assert result.metrics.max_session is not None
         assert result.metrics.max_session <= 4
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_bound_holds_even_with_worst_case_post_ts_delays(self, seed):
+    @pytest.mark.parametrize("n, seed", [(7, 1), (7, 2), (9, 1), (9, 2), (9, 3)])
+    def test_bound_holds_even_with_worst_case_post_ts_delays(self, n, seed):
         """Every post-TS delivery takes the full δ; the bound must still hold."""
         scenario = partitioned_chaos_scenario(
-            7, params=PARAMS, ts=TS, seed=seed, worst_case_post_delays=True
+            n, params=PARAMS, ts=TS, seed=seed, worst_case_post_delays=True
         )
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
@@ -85,9 +85,29 @@ class TestModifiedPaxosUnderChaos:
         assert lag is not None and lag <= BOUND
         # Worst-case delays are genuinely slower than the random-delay runs.
         relaxed = run_scenario(
-            partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=seed), "modified-paxos"
+            partitioned_chaos_scenario(n, params=PARAMS, ts=TS, seed=seed), "modified-paxos"
         )
         assert lag >= relaxed.max_lag_after_ts()
+
+    def test_longer_session_timers_slow_recovery(self):
+        """Why the paper pins the session timer to Θ(δ): a 16δ timer recovers later than 4δ."""
+        lags = {}
+        for factor in (4.0, 8.0, 16.0):
+            params = make_params(rho=0.01, session_timeout_factor=factor)
+            scenario = partitioned_chaos_scenario(7, params=params, ts=TS, seed=2)
+            lags[factor] = run_scenario(scenario, "modified-paxos").max_lag_after_ts()
+        assert all(lag is not None for lag in lags.values())
+        assert lags[16.0] > lags[4.0]
+
+    def test_sparse_keepalive_still_decides_but_slower(self):
+        """With ε = 8δ, post-TS recovery leans on session timeouts alone."""
+        lags = []
+        for params in (PARAMS, PARAMS.with_epsilon(8.0 * PARAMS.delta)):
+            scenario = partitioned_chaos_scenario(7, params=params, ts=TS, seed=3)
+            lags.append(run_scenario(scenario, "modified-paxos").max_lag_after_ts())
+        fast, slow = lags
+        assert fast is not None and slow is not None
+        assert slow >= fast
 
 
 class TestModifiedBConsensusUnderChaos:
@@ -101,6 +121,18 @@ class TestModifiedBConsensusUnderChaos:
         # No closed-form bound in the paper; "about the same" as Modified
         # Paxos - allow a generous constant, still O(delta) and independent of N.
         assert result.max_lag_after_ts() <= 2.0 * BOUND
+
+    def test_modification_sends_no_more_messages_than_original(self):
+        """Round jumping plus current-round-only retransmission (Section 5) saves messages."""
+        sent = {}
+        for protocol in ("modified-b-consensus", "b-consensus"):
+            results = [
+                run_scenario(partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=seed), protocol)
+                for seed in (1, 2, 3)
+            ]
+            assert all(result.decided_all for result in results)
+            sent[protocol] = sum(result.metrics.messages_sent for result in results)
+        assert sent["modified-b-consensus"] <= 1.1 * sent["b-consensus"]
 
     def test_original_bconsensus_is_safe_under_chaos(self):
         scenario = partitioned_chaos_scenario(5, params=PARAMS, ts=TS, seed=3)

@@ -37,20 +37,6 @@ class TestCounters:
         assert monitor.stats.duplicated == 1
         assert monitor.stats.to_crashed == 1
 
-    def test_as_dict_roundtrip(self):
-        monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.0))
-        data = monitor.stats.as_dict()
-        assert data["sent"] == 1
-        assert data["by_kind"] == {"phase1a": 1}
-
-    def test_per_sender_counts(self):
-        monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.0, src=3))
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, src=3))
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, src=1))
-        assert monitor.sends_per_sender() == {3: 2, 1: 1}
-
 
 class TestRates:
     def test_sends_in_window_half_open(self):
@@ -67,18 +53,3 @@ class TestRates:
             monitor.on_send(envelope(Phase1a(mbal=1), t))
         assert monitor.send_rate(0.0, 2.0) == pytest.approx(2.0)
         assert monitor.send_rate(2.0, 2.0) == 0.0
-
-    def test_timeline_buckets(self):
-        monitor = NetworkMonitor(bucket_width=1.0)
-        for t in (0.1, 0.2, 1.7, 2.1, 2.2, 2.3):
-            monitor.on_send(envelope(Phase1a(mbal=1), t))
-        timeline = dict(monitor.send_timeline())
-        assert timeline == {0.0: 2, 1.0: 1, 2.0: 3}
-        assert monitor.peak_bucket_rate() == pytest.approx(3.0)
-
-    def test_peak_rate_empty(self):
-        assert NetworkMonitor().peak_bucket_rate() == 0.0
-
-    def test_bucket_width_validation(self):
-        with pytest.raises(ValueError):
-            NetworkMonitor(bucket_width=0.0)
