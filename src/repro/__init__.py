@@ -94,19 +94,9 @@ from repro.results import (
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.sim.simulator import SimulationConfig, Simulator
-from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
-from repro.workloads.coordinator_faults import coordinator_crash_scenario
-from repro.workloads.environments import (
-    asymmetric_link_scenario,
-    churn_scenario,
-    environment_scenario,
-    gray_partition_scenario,
-)
-from repro.workloads.obsolete import obsolete_ballot_scenario
+from repro.workloads.environments import environment_scenario
 from repro.workloads.registry import ScenarioRegistry, default_workload_registry
-from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.scenario import Scenario
-from repro.workloads.stable import stable_scenario
 
 __all__ = [
     "AdversarySpec",
@@ -140,28 +130,19 @@ __all__ = [
     "SmrTask",
     "TimingParams",
     "__version__",
-    "asymmetric_link_scenario",
-    "churn_scenario",
     "content_key_for_task",
-    "coordinator_crash_scenario",
     "decision_bound",
     "default_environment_registry",
     "default_registry",
     "default_workload_registry",
     "environment_scenario",
-    "gray_partition_scenario",
     "lag_delta",
-    "lossy_chaos_scenario",
     "make_executor",
-    "obsolete_ballot_scenario",
     "open_store",
-    "partitioned_chaos_scenario",
-    "restart_after_stability_scenario",
     "restart_decision_bound",
     "run_experiment",
     "run_scenario",
     "run_smr",
     "run_tasks",
-    "stable_scenario",
     "uniform_schedule",
 ]

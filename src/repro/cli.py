@@ -49,8 +49,7 @@ from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 from repro.workloads.environments import environment_scenario
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
-from repro.workloads.smr import is_smr_workload
+from repro.workloads.registry import ScenarioRegistry, default_workload_registry, is_smr_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = ["main", "build_parser", "WORKLOADS"]
@@ -129,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     smr_group.add_argument("--command-interval", type=float, default=0.7,
                            help="spacing between consecutive commands (default 0.7)")
     smr_group.add_argument("--target-pid", type=int, default=None,
-                           help="submit every command at this replica (default: round-robin)")
+                           help="submit every command at this replica (default: round-robin "
+                                "over the replicas the scenario keeps up)")
     smr_group.add_argument("--machine", choices=("kv", "ledger"), default="kv",
                            help="state machine the replicas apply (default kv)")
 
@@ -254,21 +254,30 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
     kwargs = {"n": args.n, "params": params, "seed": args.seed}
     if args.ts is not None:
         kwargs["ts"] = args.ts
-    task = SmrTask(
-        workload=args.workload,
-        workload_kwargs=kwargs,
-        schedule=ScheduleSpec(
-            num_commands=args.commands,
-            start=args.command_start,
-            interval=args.command_interval,
-            target_pid=args.target_pid,
-        ),
-        machine=args.machine,
-        # --allow-unsafe mirrors the single-decree run: invariant violations
-        # are reported in the output instead of raised.
-        enforce_consistency=not args.allow_unsafe,
+    schedule = ScheduleSpec(
+        num_commands=args.commands,
+        start=args.command_start,
+        interval=args.command_interval,
+        target_pid=args.target_pid,
     )
     try:
+        if args.target_pid is None:
+            # Round-robin only over the replicas the scenario keeps up: a
+            # command submitted at a replica that never restarts is lost.
+            live = default_workload_registry().create(args.workload, **kwargs).deciders()
+            commands = schedule.to_schedule(len(live)).entries
+            schedule = ScheduleSpec(entries=tuple(
+                (live[pid], *entry) for pid in sorted(commands) for entry in commands[pid]
+            ))
+        task = SmrTask(
+            workload=args.workload,
+            workload_kwargs=kwargs,
+            schedule=schedule,
+            machine=args.machine,
+            # --allow-unsafe mirrors the single-decree run: invariant
+            # violations are reported in the output instead of raised.
+            enforce_consistency=not args.allow_unsafe,
+        )
         result = execute_smr_task_result(task)
     except (ConfigurationError, ExperimentError) as error:
         print(error)

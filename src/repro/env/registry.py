@@ -456,9 +456,9 @@ def _chaos_faults(with_crashes: bool) -> FaultSpec:
 
 
 def _env_partitioned_chaos(
+    with_crashes: bool = True,
     leak_probability: float = 0.05,
     worst_case_post_delays: bool = False,
-    with_crashes: bool = True,
 ) -> EnvironmentSpec:
     adversary = AdversarySpec(
         "partition",

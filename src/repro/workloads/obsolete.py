@@ -1,16 +1,17 @@
-"""Obsolete high-ballot workload (experiment E2, the Section 2 argument).
+"""Builder of the obsolete high-ballot workload (experiment E2, Section 2).
 
-The scenario installs a reachable pre-stabilization state for traditional
-Paxos in which ``k`` processes crashed before ``TS`` after announcing
-anomalously high ballots (the paper's "messages with higher mbal fields that
-were sent by processes that have since failed").  Those phase 1a messages
-are still in flight after ``TS`` and the adversary — which controls the
-delivery time of every message sent before ``TS`` — releases them one at a
-time, each aimed at every acceptor except the post-stabilization leader, and
-each timed to land just after the leader has committed to a new ballot
-(right when its phase 2a goes out).  Every release therefore forces one more
-rejection/retry cycle on the leader, which is exactly the ``O(Nδ)``
-behaviour the paper describes.
+:func:`obsolete_ballots` is the computing part of the ``obsolete-ballots``
+entry in :data:`repro.workloads.registry.WORKLOADS`. The scenario installs a
+reachable pre-stabilization state for traditional Paxos in which ``k``
+processes crashed before ``TS`` after announcing anomalously high ballots
+(the paper's "messages with higher mbal fields that were sent by processes
+that have since failed"). Those phase 1a messages are still in flight after
+``TS`` and the adversary — which controls the delivery time of every message
+sent before ``TS`` — releases them one at a time, each aimed at every
+acceptor except the post-stabilization leader, and each timed to land just
+after the leader has committed to a new ballot (right when its phase 2a goes
+out). Every release therefore forces one more rejection/retry cycle on the
+leader, which is exactly the ``O(Nδ)`` behaviour the paper describes.
 
 Two details are worth calling out:
 
@@ -25,23 +26,21 @@ Two details are worth calling out:
   constraint on when a pre-``TS`` message is delivered, so a worst-case
   adversary may schedule deliveries with full knowledge of the run.  When
   the protocol under test is not traditional Paxos (no proposer state to
-  watch), the controller falls back to a fixed release schedule.
+  watch), the controller falls back to a fixed release schedule.  Both
+  paths record every release as a ``("net", "obsolete_release")`` trace
+  event.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List
 
 from repro.core.messages import Phase1a
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
-from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig, Simulator
-from repro.workloads.scenario import Scenario
+from repro.sim.simulator import Simulator
 
-from repro.workloads.registry import register_workload
-
-__all__ = ["obsolete_ballot_scenario"]
+__all__ = ["obsolete_ballots"]
 
 
 class _ObsoleteReleaseController:
@@ -94,127 +93,91 @@ class _ObsoleteReleaseController:
 
     def _release(self, above_ballot: int) -> None:
         n = self.simulator.config.n
-        owner = self.owners[self.released % len(self.owners)]
-        floor = max(above_ballot, (self.released + 1) * self.ballot_stride * n)
+        index = self.released
+        owner = self.owners[index % len(self.owners)]
+        floor = max(above_ballot, (index + 1) * self.ballot_stride * n)
         ballot = ((floor // n) + 1) * n + owner
-        now = self.simulator.now()
+        self._inject(owner, ballot, self.simulator.now() + self.arrival_lead, index)
+
+    def _release_all_on_schedule(self) -> None:
+        n = self.simulator.config.n
+        while self.released < self.count:
+            index = self.released
+            owner = self.owners[index % len(self.owners)]
+            ballot = ((index + 1) * self.ballot_stride + 1) * n + owner
+            delay = index * self.fallback_gap + self.arrival_lead
+            self._inject(owner, ballot, self.simulator.now() + delay, index)
+
+    def _inject(self, owner: int, ballot: int, deliver_time: float, index: int) -> None:
+        """Send ``owner``'s obsolete phase 1a to every acceptor but the leader."""
+        simulator = self.simulator
         message = Phase1a(mbal=ballot)
-        for dst in range(n):
+        for dst in range(simulator.config.n):
             if dst == self.leader or dst == owner:
                 continue
-            self.simulator.network.inject(
-                message, src=owner, dst=dst, deliver_time=now + self.arrival_lead, send_time=0.0
+            simulator.network.inject(
+                message, src=owner, dst=dst, deliver_time=deliver_time, send_time=0.0
             )
-        self.simulator.trace.record(
-            now, "net", "obsolete_release", pid=owner, ballot=ballot, index=self.released
+        simulator.trace.record(
+            simulator.now(), "net", "obsolete_release", pid=owner, ballot=ballot, index=index
         )
         self.released += 1
 
-    def _release_all_on_schedule(self) -> None:
-        while self.released < self.count:
-            delay = self.released * self.fallback_gap + self.arrival_lead
-            index = self.released
-            owner = self.owners[index % len(self.owners)]
-            n = self.simulator.config.n
-            ballot = ((index + 1) * self.ballot_stride + 1) * n + owner
-            now = self.simulator.now()
-            message = Phase1a(mbal=ballot)
-            for dst in range(n):
-                if dst == self.leader or dst == owner:
-                    continue
-                self.simulator.network.inject(
-                    message, src=owner, dst=dst, deliver_time=now + delay, send_time=0.0
-                )
-            self.released += 1
 
+def obsolete_ballots(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Builder of the ``obsolete-ballots`` workload.
 
-@register_workload(
-    "obsolete-ballots",
-    summary="obsolete high-ballot phase-1a messages from crashed processes surface after TS (E2)",
-    param_help={
-        "n": "number of processes (at least 3)",
-        "num_obsolete": "obsolete ballots released after TS (defaults to ceil(N/2) - 1)",
-    },
-)
-def obsolete_ballot_scenario(
-    n: int,
-    params: Optional[TimingParams] = None,
-    ts: Optional[float] = None,
-    seed: int = 0,
-    num_obsolete: Optional[int] = None,
-    ballot_stride: int = 1_000,
-    poll_interval_factor: float = 0.05,
-    max_time: Optional[float] = None,
-) -> Scenario:
-    """Build the obsolete-high-ballot adversarial scenario.
-
-    Args:
-        n: Number of processes (at least 3).
-        params: Timing constants.
-        ts: Stabilization time; defaults to ``5δ``.
-        num_obsolete: How many obsolete ballots surface after ``TS``;
-            defaults to the maximum the model allows, ``⌈N/2⌉ − 1`` (one per
-            crashed process).
-        ballot_stride: Controls how far apart the crafted ballots are; must
-            comfortably exceed anything the leader can reach between releases.
-        poll_interval_factor: How often (in δ) the adaptive adversary checks
-            the leader's progress.
+    The highest-id minority crashes at ``TS/4`` and never restarts; its
+    ``num_obsolete`` (``k``, default ``⌈N/2⌉ − 1``) obsolete phase 1a
+    messages surface after ``TS``.  ``ballot_stride`` sets how far apart the
+    crafted ballots are and must comfortably exceed anything the leader can
+    reach between releases; ``poll_interval_factor`` is how often (in ``δ``)
+    the adaptive adversary checks the leader's progress.
     """
-    if n < 3:
-        raise ConfigurationError("obsolete_ballot_scenario needs n >= 3")
-    params = params if params is not None else TimingParams()
-    ts = ts if ts is not None else 5.0 * params.delta
-    majority = n // 2 + 1
-    max_victims = n - majority
-    victims = list(range(n - max_victims, n))  # highest-id processes crash
-    k = num_obsolete if num_obsolete is not None else max_victims
+    n, ts, delta = fields["n"], fields["ts"], fields["delta"]
+    max_victims = n - (n // 2 + 1)
+    victims = list(range(n - max_victims, n))
+    k = fields["num_obsolete"] if fields["num_obsolete"] is not None else max_victims
     if not 0 <= k <= max_victims:
         raise ConfigurationError(
             f"num_obsolete must be in [0, {max_victims}] to keep a majority alive, got {k}"
         )
+    ballot_stride = fields["ballot_stride"]
     if ballot_stride < n:
         raise ConfigurationError("ballot_stride must be at least n")
-
-    delta = params.delta
-    # Generous horizon: the whole point is that the decision takes O(k·δ).
-    horizon = max_time if max_time is not None else ts + (6.0 * k + 80.0) * delta
-    config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
-
-    environment = EnvironmentSpec(
-        name="obsolete-ballots",
-        adversary=AdversarySpec("drop-all"),
-        faults=(
-            FaultSpec("crash-forever", {"pids": list(victims), "time": 0.25 * ts})
-            if victims
-            else FaultSpec("none")
-        ),
-    )
-
+    poll_interval_factor = fields["poll_interval_factor"]
+    if poll_interval_factor <= 0:
+        # A zero interval would re-poll forever without advancing time.
+        raise ConfigurationError(
+            f"poll_interval_factor must be positive, got {poll_interval_factor}"
+        )
     survivors = [pid for pid in range(n) if pid not in victims]
-    post_ts_leader = min(survivors)
+    leader = min(survivors)
 
     def post_setup(simulator: Simulator) -> None:
-        controller = _ObsoleteReleaseController(
+        _ObsoleteReleaseController(
             simulator=simulator,
-            leader=post_ts_leader,
+            leader=leader,
             owners=victims,
             count=k,
             ballot_stride=ballot_stride,
             poll_interval=poll_interval_factor * delta,
             arrival_lead=0.02 * delta,
             fallback_gap=3.0 * delta,
-        )
-        controller.install()
+        ).install()
 
-    return Scenario(
-        name=f"obsolete-ballots-n{n}-k{k}",
-        config=config,
-        environment=environment,
-        post_setup=post_setup,
-        expected_deciders=survivors,
-        notes=(
-            f"{k} obsolete phase-1a messages with anomalously high ballots from crashed "
-            f"processes surface after TS, one per ballot attempt of the post-TS leader "
-            f"p{post_ts_leader}"
+    return {
+        "k": k,
+        "leader": leader,
+        "expected_deciders": survivors,
+        "post_setup": post_setup,
+        "environment": EnvironmentSpec(
+            name="obsolete-ballots",
+            adversary=AdversarySpec("drop-all"),
+            faults=(
+                FaultSpec("crash-forever", {"pids": list(victims), "time": 0.25 * ts})
+                if victims
+                else FaultSpec("none")
+            ),
         ),
-    )
+    }

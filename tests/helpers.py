@@ -17,7 +17,7 @@ from repro.sim.process import Process, ProcessContext
 from repro.sim.rng import SeededRng
 from repro.storage.stable import StableStore
 
-__all__ = ["ContextHarness", "SentMessage", "make_params", "make_run_record"]
+__all__ = ["ContextHarness", "SentMessage", "make_params", "make_run_record", "make_scenario"]
 
 
 def make_params(**overrides: Any) -> TimingParams:
@@ -25,6 +25,13 @@ def make_params(**overrides: Any) -> TimingParams:
     values = {"delta": 1.0, "rho": 0.0, "epsilon": 0.5}
     values.update(overrides)
     return TimingParams(**values)
+
+
+def make_scenario(workload: str, **kwargs: Any):
+    """Build the named workload's scenario through the default registry."""
+    from repro.workloads.registry import default_workload_registry
+
+    return default_workload_registry().create(workload, **kwargs)
 
 
 def make_run_record(

@@ -5,16 +5,14 @@ import pytest
 from repro.analysis.report import render_run_report
 from repro.cli import WORKLOADS, build_parser, main
 from repro.harness.runner import run_scenario
-from repro.workloads.restarts import restart_after_stability_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 
 class TestRunReport:
     def test_report_contains_all_sections(self):
         params = make_params(rho=0.01)
-        result = run_scenario(stable_scenario(3, params=params, seed=1), "modified-paxos")
+        result = run_scenario(make_scenario("stable", n=3, params=params, seed=1), "modified-paxos")
         report = render_run_report(result)
         assert "run report: protocol=modified-paxos" in report
         assert "decisions (lag is relative to TS):" in report
@@ -26,8 +24,8 @@ class TestRunReport:
 
     def test_report_shows_undecided_and_crashed_processes(self):
         params = make_params(rho=0.01)
-        scenario = restart_after_stability_scenario(
-            5, params=params, ts=6.0, seed=1, restart_offsets=[3.0]
+        scenario = make_scenario("restarts",
+            n=5, params=params, ts=6.0, seed=1, restart_offsets=[3.0]
         )
         # Stop before everyone decided so the report shows a dash.
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
@@ -39,7 +37,7 @@ class TestRunReport:
 
 class TestCliParser:
     def test_workload_list_is_complete(self):
-        # Every workload module self-registers, so the CLI list is the registry.
+        # Every workload-table entry is registered, so the CLI list is the registry.
         assert set(WORKLOADS) == {
             "stable",
             "partitioned-chaos",
@@ -131,6 +129,16 @@ class TestCliCommands:
         assert "smr run report" in output
         assert "replicas agree              : OK" in output
         assert "cmd-0000" in output
+
+    def test_run_smr_round_robin_skips_replicas_down_for_good(self, capsys):
+        # Seed 1 crashes p0 before TS for good; round-robin used to submit
+        # cmd-0000 there, lose it, and exit 1.
+        exit_code = main(
+            ["run", "--workload", "smr-chaos", "--n", "5", "--seed", "1", "--commands", "3"]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "cmd-0000  p1" in output
 
     def test_run_smr_rejects_foreign_protocol(self, capsys):
         exit_code = main(

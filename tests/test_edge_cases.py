@@ -7,17 +7,15 @@ from repro.core.timing import decision_bound
 from repro.errors import InvariantViolation
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
-from repro.workloads.chaos import partitioned_chaos_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 
 class TestDegenerateSystemSizes:
     def test_single_process_decides_alone(self):
         """n=1: the process is its own majority and decides immediately."""
         params = make_params()
-        result = run_scenario(stable_scenario(1, params=params, seed=0), "modified-paxos")
+        result = run_scenario(make_scenario("stable", n=1, params=params, seed=0), "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
         assert result.max_lag_after_ts() <= 3.0
@@ -26,13 +24,13 @@ class TestDegenerateSystemSizes:
         """n=2: majority is 2, so both must participate; still decides when stable."""
         params = make_params()
         for protocol in ("modified-paxos", "rotating-coordinator"):
-            result = run_scenario(stable_scenario(2, params=params, seed=1), protocol)
+            result = run_scenario(make_scenario("stable", n=2, params=params, seed=1), protocol)
             assert result.decided_all
             assert result.safety.valid
 
     def test_two_processes_cannot_decide_if_one_is_down(self):
         params = make_params()
-        scenario = stable_scenario(2, params=params, seed=1, max_time=30.0)
+        scenario = make_scenario("stable", n=2, params=params, seed=1, max_time=30.0)
         scenario.expected_deciders = [0]
 
         def crash_one(simulator):
@@ -52,7 +50,7 @@ class TestEvenSystemSizes:
     @pytest.mark.parametrize("protocol", ["modified-paxos", "modified-b-consensus"])
     def test_even_n_under_chaos(self, n, protocol):
         params = make_params(rho=0.01)
-        scenario = partitioned_chaos_scenario(n, params=params, ts=6.0, seed=3)
+        scenario = make_scenario("partitioned-chaos", n=n, params=params, ts=6.0, seed=3)
         result = run_scenario(scenario, protocol)
         assert result.decided_all
         assert result.safety.valid
@@ -69,7 +67,7 @@ class TestExtremeParameters:
     def test_large_clock_drift_still_respects_bound(self):
         """ρ = 0.2 inflates σ and τ; measured lag must respect the inflated bound."""
         params = TimingParams(delta=1.0, rho=0.2, epsilon=0.5)
-        scenario = partitioned_chaos_scenario(5, params=params, ts=6.0, seed=2)
+        scenario = make_scenario("partitioned-chaos", n=5, params=params, ts=6.0, seed=2)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.max_lag_after_ts() <= decision_bound(params)
@@ -77,7 +75,7 @@ class TestExtremeParameters:
     def test_delta_scaling(self):
         """With δ = 5 the absolute lag grows but stays below the (δ-scaled) bound."""
         params = TimingParams(delta=5.0, rho=0.01, epsilon=2.5)
-        scenario = partitioned_chaos_scenario(5, params=params, ts=30.0, seed=4)
+        scenario = make_scenario("partitioned-chaos", n=5, params=params, ts=30.0, seed=4)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         lag = result.max_lag_after_ts()
@@ -86,7 +84,7 @@ class TestExtremeParameters:
 
     def test_tiny_epsilon_is_chatty_but_correct(self):
         params = TimingParams(delta=1.0, rho=0.01, epsilon=0.05)
-        scenario = partitioned_chaos_scenario(3, params=params, ts=4.0, seed=5)
+        scenario = make_scenario("partitioned-chaos", n=3, params=params, ts=4.0, seed=5)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.metrics.messages_sent > 500  # keep-alives every 0.05 delta
@@ -96,7 +94,7 @@ class TestExtremeParameters:
         params = make_params(rho=0.01)
         lags = {}
         for ts in (5.0, 40.0):
-            scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=6)
+            scenario = make_scenario("partitioned-chaos", n=5, params=params, ts=ts, seed=6)
             result = run_scenario(scenario, "modified-paxos")
             lags[ts] = result.max_lag_after_ts()
         assert all(lag is not None and lag <= decision_bound(params) for lag in lags.values())
@@ -130,7 +128,7 @@ class TestTraceLimits:
     @staticmethod
     def _untraced_scenario():
         params = make_params()
-        scenario = stable_scenario(3, params=params, seed=2)
+        scenario = make_scenario("stable", n=3, params=params, seed=2)
         scenario.config = type(scenario.config)(
             n=3, params=params, ts=0.0, seed=2, max_time=scenario.config.max_time,
             trace_enabled=False,

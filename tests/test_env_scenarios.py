@@ -17,23 +17,17 @@ from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.runner import run_scenario
 from repro.net.message import Era
 from repro.sim.rng import SeededRng
-from repro.workloads.environments import (
-    asymmetric_link_scenario,
-    churn_scenario,
-    environment_scenario,
-    gray_partition_scenario,
-    resolve_environment,
-)
+from repro.workloads.environments import environment_scenario, resolve_environment
 from repro.workloads.registry import default_workload_registry
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 PARAMS = make_params()
 
 
 class TestAsymmetricLink:
     def test_decides_and_slow_links_crawl_pre_ts(self):
-        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3, hub=0)
+        scenario = make_scenario("asymmetric-link", n=5, params=PARAMS, seed=3, hub=0)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
@@ -55,7 +49,7 @@ class TestAsymmetricLink:
         from repro.core.messages import Phase1a
         from repro.net.message import Envelope
 
-        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3, hub=0)
+        scenario = make_scenario("asymmetric-link", n=5, params=PARAMS, seed=3, hub=0)
         network = scenario.build_network(scenario.config, SeededRng(3, label="net"))
         model = network.model
         adversary = model.adversary
@@ -80,24 +74,24 @@ class TestAsymmetricLink:
     def test_leaderless_protocol_is_hub_insensitive(self):
         # The hub choice must not break decisions for any protocol.
         for hub in (0, 4):
-            scenario = asymmetric_link_scenario(5, params=PARAMS, seed=7, hub=hub)
+            scenario = make_scenario("asymmetric-link", n=5, params=PARAMS, seed=7, hub=hub)
             result = run_scenario(scenario, "modified-paxos")
             assert result.decided_all
 
     def test_hub_must_be_a_pid(self):
         with pytest.raises(ConfigurationError):
-            asymmetric_link_scenario(3, params=PARAMS, hub=7)
+            make_scenario("asymmetric-link", n=3, params=PARAMS, hub=7)
 
 
 class TestGrayPartition:
     def test_decides_with_invariants(self):
-        scenario = gray_partition_scenario(5, params=PARAMS, seed=3)
+        scenario = make_scenario("gray-partition", n=5, params=PARAMS, seed=3)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
 
     def test_healing_is_monotone(self):
-        scenario = gray_partition_scenario(5, params=PARAMS, seed=3, heal_start=0.5)
+        scenario = make_scenario("gray-partition", n=5, params=PARAMS, seed=3, heal_start=0.5)
         network = scenario.build_network(scenario.config, SeededRng(3, label="net"))
         adversary = network.model.adversary
         ts = scenario.config.ts
@@ -108,7 +102,7 @@ class TestGrayPartition:
         assert probes[-1] == 0.0  # fully healed at TS
 
     def test_cross_group_messages_heal_through(self):
-        scenario = gray_partition_scenario(6, params=PARAMS, seed=11)
+        scenario = make_scenario("gray-partition", n=6, params=PARAMS, seed=11)
         result = run_scenario(scenario, "modified-paxos")
         adversary = result.simulator.network.model.adversary
         spec = adversary.spec
@@ -121,7 +115,7 @@ class TestGrayPartition:
         assert delivered and dropped
 
     def test_with_crashes_keeps_model_valid(self):
-        scenario = gray_partition_scenario(7, params=PARAMS, seed=5, with_crashes=True)
+        scenario = make_scenario("gray-partition", n=7, params=PARAMS, seed=5, with_crashes=True)
         scenario.fault_plan.validate(7, ts=scenario.config.ts)
         result = run_scenario(scenario, "modified-paxos")
         assert result.safety.valid
@@ -129,7 +123,7 @@ class TestGrayPartition:
 
 class TestChurn:
     def test_full_wave_schedule_plays_out(self):
-        scenario = churn_scenario(5, params=PARAMS, seed=3, waves=3)
+        scenario = make_scenario("churn", n=5, params=PARAMS, seed=3, waves=3)
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
         assert result.safety.valid
         assert result.decided_all
@@ -141,7 +135,7 @@ class TestChurn:
             assert len(list(restarts)) == 3  # every wave executed
 
     def test_churn_delays_victim_decisions_past_the_last_restart(self):
-        scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
+        scenario = make_scenario("churn", n=5, params=PARAMS, seed=3, waves=2)
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
         victims = sorted(scenario.fault_plan.pids_touched())
         decided_values = {r.value for r in result.simulator.all_decisions}
@@ -158,13 +152,13 @@ class TestChurn:
             assert min(r.time for r in decisions) > last_restart
 
     def test_plan_is_rejected_under_the_strict_model(self):
-        scenario = churn_scenario(5, params=PARAMS, seed=3)
+        scenario = make_scenario("churn", n=5, params=PARAMS, seed=3)
         assert scenario.allow_post_ts_crashes
         with pytest.raises(ConfigurationError, match="no failures at or after"):
             scenario.fault_plan.validate(5, ts=scenario.config.ts)
 
     def test_majority_always_up(self):
-        scenario = churn_scenario(7, params=PARAMS, seed=1, waves=3)
+        scenario = make_scenario("churn", n=7, params=PARAMS, seed=1, waves=3)
         plan = scenario.fault_plan
         times = sorted({event.time for event in plan})
         for time in times:
@@ -172,7 +166,7 @@ class TestChurn:
 
     def test_tiny_system_rejected(self):
         with pytest.raises(ConfigurationError):
-            churn_scenario(2, params=PARAMS)
+            make_scenario("churn", n=2, params=PARAMS)
 
     def test_churn_runs_under_the_smr_runner(self):
         # The SMR entry point validates the fault plan too — it must honor
@@ -180,7 +174,7 @@ class TestChurn:
         from repro.smr.runner import run_smr
         from repro.smr.workload import uniform_schedule
 
-        scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
+        scenario = make_scenario("churn", n=5, params=PARAMS, seed=3, waves=2)
         schedule = uniform_schedule(
             5, 3, start=scenario.config.ts + 0.5, interval=2.0, target_pid=0
         )

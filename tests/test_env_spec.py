@@ -374,6 +374,16 @@ class TestEnvironmentBuildDeterminism:
             ("churn", {"n": 5}),
         ):
             assert workloads.create(name, **kwargs).environment == registry.environment(name)
+        for name, environment, overrides in (
+            ("smr-stable", "stable", {}),
+            ("smr-chaos", "partitioned-chaos", {}),
+            ("smr-churn", "churn", {"waves": 2}),
+            ("smr-gray-partition", "gray-partition", {}),
+            ("smr-asymmetric-link", "asymmetric-link", {}),
+        ):
+            assert workloads.create(name, n=5).environment == registry.environment(
+                environment, **overrides
+            )
 
     def test_environment_params_object_with_defaults(self):
         params = TimingParams()

@@ -26,12 +26,12 @@ from repro.harness.experiment import (
 )
 from repro.harness.experiments import default_experiment_params
 from repro.harness.tables import ExperimentTable
+from repro.sim.simulator import SimulationConfig
 from repro.workloads.registry import (
     ScenarioRegistry,
     WorkloadSpec,
     default_workload_registry,
 )
-from repro.workloads.stable import stable_scenario
 
 from tests.helpers import make_params
 
@@ -49,12 +49,13 @@ class TestScenarioRegistry:
             "kitchen-sink",
         } <= set(names)
 
-    def test_create_builds_the_same_scenario_as_the_factory(self):
-        params = make_params(rho=0.01)
-        via_registry = default_workload_registry().create("stable", n=3, params=params, seed=9)
-        direct = stable_scenario(3, params=params, seed=9)
-        assert via_registry.name == direct.name
-        assert via_registry.config == direct.config
+    def test_create_builds_the_table_entry(self):
+        params = make_params(rho=0.01, delta=2.0)
+        scenario = default_workload_registry().create("stable", n=3, params=params, seed=9)
+        assert scenario.name == "stable-n3"
+        assert scenario.config == SimulationConfig(
+            n=3, params=params, ts=0.0, seed=9, max_time=400.0
+        )
 
     def test_unknown_workload_rejected(self):
         registry = default_workload_registry()
@@ -75,7 +76,7 @@ class TestScenarioRegistry:
 
     def test_double_registration_rejected(self):
         registry = ScenarioRegistry()
-        spec = WorkloadSpec(name="w", factory=lambda **kwargs: None)
+        spec = WorkloadSpec(name="w", summary="", scenario_name="w-n{n}", environment="stable")
         registry.register(spec)
         with pytest.raises(ConfigurationError, match="registered twice"):
             registry.register(spec)

@@ -6,7 +6,8 @@ from repro.consensus.values import RunOutcome
 from repro.harness.runner import run_scenario
 from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment
 from repro.harness.tables import ExperimentTable, render_table
-from repro.workloads.stable import stable_scenario
+
+from tests.helpers import make_scenario
 
 
 
@@ -48,7 +49,7 @@ class TestExperimentTable:
 
 class TestRunner:
     def test_run_scenario_by_name_produces_full_result(self, params):
-        scenario = stable_scenario(3, params=params, seed=5)
+        scenario = make_scenario("stable", n=3, params=params, seed=5)
         result = run_scenario(scenario, "modified-paxos")
         assert result.protocol == "modified-paxos"
         assert result.decided_all
@@ -60,13 +61,13 @@ class TestRunner:
     def test_run_scenario_with_builder_instance(self, params):
         from repro.core.modified_paxos import ModifiedPaxosBuilder
 
-        scenario = stable_scenario(3, params=params, seed=5)
+        scenario = make_scenario("stable", n=3, params=params, seed=5)
         result = run_scenario(scenario, ModifiedPaxosBuilder())
         assert result.protocol == "modified-paxos"
         assert result.decided_all
 
     def test_outcome_snapshot(self, params):
-        scenario = stable_scenario(3, params=params, seed=5)
+        scenario = make_scenario("stable", n=3, params=params, seed=5)
         result = run_scenario(scenario, "modified-paxos")
         outcome = result.outcome()
         assert isinstance(outcome, RunOutcome)
@@ -78,12 +79,12 @@ class TestRunner:
     def test_unknown_protocol_name_raises(self, params):
         from repro.errors import ConfigurationError
 
-        scenario = stable_scenario(3, params=params, seed=5)
+        scenario = make_scenario("stable", n=3, params=params, seed=5)
         with pytest.raises(ConfigurationError):
             run_scenario(scenario, "raft")
 
     def test_run_to_horizon_when_requested(self, params):
-        scenario = stable_scenario(3, params=params, seed=5, max_time=30.0)
+        scenario = make_scenario("stable", n=3, params=params, seed=5, max_time=30.0)
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
         # Running past the decision is allowed and must stay safe.
         assert result.decided_all

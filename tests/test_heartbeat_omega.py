@@ -6,11 +6,8 @@ from repro.consensus.paxos.heartbeat_paxos import HeartbeatPaxosBuilder, Heartbe
 from repro.errors import ConfigurationError
 from repro.harness.runner import run_scenario
 from repro.oracle.heartbeat import Heartbeat, HeartbeatElector
-from repro.workloads.chaos import partitioned_chaos_scenario
-from repro.workloads.coordinator_faults import coordinator_crash_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import ContextHarness, make_params
+from tests.helpers import ContextHarness, make_params, make_scenario
 
 
 def make_elector(pid=0, n=3, timeout_factor=2.5):
@@ -88,14 +85,14 @@ class TestHeartbeatPaxos:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_stable_case_decides_safely(self, seed):
         params = make_params(rho=0.01)
-        result = run_scenario(stable_scenario(5, params=params, seed=seed),
+        result = run_scenario(make_scenario("stable", n=5, params=params, seed=seed),
                               "traditional-paxos-heartbeat")
         assert result.decided_all
         assert result.safety.valid
 
     def test_decides_after_chaos_and_crashed_processes(self):
         params = make_params(rho=0.01)
-        scenario = coordinator_crash_scenario(7, params=params, seed=3, num_faulty=2)
+        scenario = make_scenario("coordinator-crash", n=7, params=params, seed=3, num_faulty=2)
         result = run_scenario(scenario, "traditional-paxos-heartbeat")
         assert result.decided_all
         assert result.safety.valid
@@ -106,7 +103,7 @@ class TestHeartbeatPaxos:
         params = make_params(rho=0.01)
         lags = {}
         for protocol in ("traditional-paxos", "traditional-paxos-heartbeat"):
-            scenario = partitioned_chaos_scenario(n, params=params, ts=8.0, seed=seed)
+            scenario = make_scenario("partitioned-chaos", n=n, params=params, ts=8.0, seed=seed)
             result = run_scenario(scenario, protocol)
             assert result.decided_all
             lags[protocol] = result.max_lag_after_ts()

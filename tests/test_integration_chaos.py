@@ -12,9 +12,8 @@ import pytest
 from repro.analysis.invariants import check_session_entry_rule, check_unique_phase2a_value
 from repro.core.timing import decision_bound
 from repro.harness.runner import run_scenario
-from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 PARAMS = make_params(rho=0.01)
 BOUND = decision_bound(PARAMS)
@@ -25,7 +24,7 @@ class TestModifiedPaxosUnderChaos:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_decides_within_bound_after_partitioned_chaos(self, n, seed):
-        scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=TS, seed=seed)
+        scenario = make_scenario("partitioned-chaos", n=n, params=PARAMS, ts=TS, seed=seed)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all, f"undecided: {result.metrics.decisions.undecided}"
         assert result.safety.valid
@@ -34,7 +33,7 @@ class TestModifiedPaxosUnderChaos:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_decides_within_bound_after_lossy_chaos(self, seed):
-        scenario = lossy_chaos_scenario(7, params=PARAMS, ts=TS, seed=seed)
+        scenario = make_scenario("lossy-chaos", n=7, params=PARAMS, ts=TS, seed=seed)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
@@ -44,7 +43,7 @@ class TestModifiedPaxosUnderChaos:
         """The heart of claim C1: post-TS decision lag is flat in N."""
         lags = {}
         for n in (3, 9, 15):
-            scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=TS, seed=5)
+            scenario = make_scenario("partitioned-chaos", n=n, params=PARAMS, ts=TS, seed=5)
             result = run_scenario(scenario, "modified-paxos")
             lags[n] = result.max_lag_after_ts()
         assert all(lag is not None and lag <= BOUND for lag in lags.values())
@@ -52,13 +51,13 @@ class TestModifiedPaxosUnderChaos:
         assert lags[15] <= lags[3] + 8.0 * PARAMS.delta
 
     def test_no_decision_before_stabilization_under_partition(self):
-        scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=4)
+        scenario = make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=TS, seed=4)
         result = run_scenario(scenario, "modified-paxos")
         for record in result.simulator.decisions.values():
             assert record.time >= TS
 
     def test_session_invariants_hold_on_chaos_traces(self):
-        scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=6)
+        scenario = make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=TS, seed=6)
         result = run_scenario(scenario, "modified-paxos")
         session_report = check_session_entry_rule(result.simulator.trace, 7)
         value_report = check_unique_phase2a_value(result.simulator.trace, 7)
@@ -67,7 +66,7 @@ class TestModifiedPaxosUnderChaos:
 
     def test_sessions_stay_low_despite_long_chaos(self):
         """The majority-entry rule caps session numbers: chaos cannot inflate them."""
-        scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=20.0, seed=7)
+        scenario = make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=20.0, seed=7)
         result = run_scenario(scenario, "modified-paxos")
         assert result.metrics.max_session is not None
         assert result.metrics.max_session <= 4
@@ -75,8 +74,8 @@ class TestModifiedPaxosUnderChaos:
     @pytest.mark.parametrize("n, seed", [(7, 1), (7, 2), (9, 1), (9, 2), (9, 3)])
     def test_bound_holds_even_with_worst_case_post_ts_delays(self, n, seed):
         """Every post-TS delivery takes the full δ; the bound must still hold."""
-        scenario = partitioned_chaos_scenario(
-            n, params=PARAMS, ts=TS, seed=seed, worst_case_post_delays=True
+        scenario = make_scenario("partitioned-chaos",
+            n=n, params=PARAMS, ts=TS, seed=seed, worst_case_post_delays=True
         )
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
@@ -85,7 +84,7 @@ class TestModifiedPaxosUnderChaos:
         assert lag is not None and lag <= BOUND
         # Worst-case delays are genuinely slower than the random-delay runs.
         relaxed = run_scenario(
-            partitioned_chaos_scenario(n, params=PARAMS, ts=TS, seed=seed), "modified-paxos"
+            make_scenario("partitioned-chaos", n=n, params=PARAMS, ts=TS, seed=seed), "modified-paxos"
         )
         assert lag >= relaxed.max_lag_after_ts()
 
@@ -94,7 +93,7 @@ class TestModifiedPaxosUnderChaos:
         lags = {}
         for factor in (4.0, 8.0, 16.0):
             params = make_params(rho=0.01, session_timeout_factor=factor)
-            scenario = partitioned_chaos_scenario(7, params=params, ts=TS, seed=2)
+            scenario = make_scenario("partitioned-chaos", n=7, params=params, ts=TS, seed=2)
             lags[factor] = run_scenario(scenario, "modified-paxos").max_lag_after_ts()
         assert all(lag is not None for lag in lags.values())
         assert lags[16.0] > lags[4.0]
@@ -103,7 +102,7 @@ class TestModifiedPaxosUnderChaos:
         """With ε = 8δ, post-TS recovery leans on session timeouts alone."""
         lags = []
         for params in (PARAMS, PARAMS.with_epsilon(8.0 * PARAMS.delta)):
-            scenario = partitioned_chaos_scenario(7, params=params, ts=TS, seed=3)
+            scenario = make_scenario("partitioned-chaos", n=7, params=params, ts=TS, seed=3)
             lags.append(run_scenario(scenario, "modified-paxos").max_lag_after_ts())
         fast, slow = lags
         assert fast is not None and slow is not None
@@ -114,7 +113,7 @@ class TestModifiedBConsensusUnderChaos:
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_decides_quickly_and_safely(self, n, seed):
-        scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=TS, seed=seed)
+        scenario = make_scenario("partitioned-chaos", n=n, params=PARAMS, ts=TS, seed=seed)
         result = run_scenario(scenario, "modified-b-consensus")
         assert result.decided_all
         assert result.safety.valid
@@ -127,7 +126,7 @@ class TestModifiedBConsensusUnderChaos:
         sent = {}
         for protocol in ("modified-b-consensus", "b-consensus"):
             results = [
-                run_scenario(partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=seed), protocol)
+                run_scenario(make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=TS, seed=seed), protocol)
                 for seed in (1, 2, 3)
             ]
             assert all(result.decided_all for result in results)
@@ -135,7 +134,7 @@ class TestModifiedBConsensusUnderChaos:
         assert sent["modified-b-consensus"] <= 1.1 * sent["b-consensus"]
 
     def test_original_bconsensus_is_safe_under_chaos(self):
-        scenario = partitioned_chaos_scenario(5, params=PARAMS, ts=TS, seed=3)
+        scenario = make_scenario("partitioned-chaos", n=5, params=PARAMS, ts=TS, seed=3)
         result = run_scenario(scenario, "b-consensus")
         assert result.safety.valid
         assert result.decided_all
@@ -147,7 +146,7 @@ class TestBaselinesUnderChaosStaySafe:
     @pytest.mark.parametrize("protocol", ["traditional-paxos", "rotating-coordinator"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_safety_under_partitioned_chaos(self, protocol, seed):
-        scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=TS, seed=seed)
+        scenario = make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=TS, seed=seed)
         result = run_scenario(scenario, protocol)
         assert result.safety.valid
         assert result.decided_all

@@ -5,9 +5,8 @@ import pytest
 from repro.consensus.registry import default_registry
 from repro.core.timing import decision_bound
 from repro.harness.runner import run_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 ALL_PROTOCOLS = [
     "modified-paxos",
@@ -23,7 +22,7 @@ ALL_PROTOCOLS = [
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_all_protocols_decide_safely_when_stable(protocol, n):
     params = make_params(rho=0.01)
-    result = run_scenario(stable_scenario(n, params=params, seed=11), protocol)
+    result = run_scenario(make_scenario("stable", n=n, params=params, seed=11), protocol)
     assert result.decided_all
     assert result.safety.valid
     # A decided value must be one of the proposals (validity re-checked here
@@ -37,7 +36,7 @@ def test_all_protocols_decide_safely_when_stable(protocol, n):
 def test_stable_case_is_fast(protocol):
     """Failure-free decisions take a handful of message delays, well below the bound."""
     params = make_params(rho=0.01)
-    result = run_scenario(stable_scenario(5, params=params, seed=3), protocol)
+    result = run_scenario(make_scenario("stable", n=5, params=params, seed=3), protocol)
     lag = result.max_lag_after_ts()
     assert lag is not None
     assert lag <= 10.0 * params.delta
@@ -48,7 +47,7 @@ def test_stable_case_is_fast(protocol):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_stable_case_across_seeds(protocol, seed):
     params = make_params(rho=0.02)
-    result = run_scenario(stable_scenario(5, params=params, seed=seed), protocol)
+    result = run_scenario(make_scenario("stable", n=5, params=params, seed=seed), protocol)
     assert result.decided_all
     assert result.safety.valid
 
@@ -59,7 +58,7 @@ def test_all_registered_protocols_covered_by_these_tests():
 
 def test_identical_proposals_decide_that_value():
     params = make_params()
-    scenario = stable_scenario(5, params=params, seed=2, initial_values=["same"] * 5)
+    scenario = make_scenario("stable", n=5, params=params, seed=2, initial_values=["same"] * 5)
     result = run_scenario(scenario, "modified-paxos")
     decided = {record.value for record in result.simulator.decisions.values()}
     assert decided == {"same"}

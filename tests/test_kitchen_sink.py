@@ -5,9 +5,8 @@ import pytest
 from repro.core.timing import decision_bound
 from repro.analysis.metrics import restart_recovery_lags
 from repro.harness.runner import run_scenario
-from repro.workloads.composite import kitchen_sink_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 PARAMS = make_params(rho=0.01)
 BOUND = decision_bound(PARAMS)
@@ -15,7 +14,7 @@ BOUND = decision_bound(PARAMS)
 
 class TestScenarioConstruction:
     def test_fault_plan_is_model_compatible(self):
-        scenario = kitchen_sink_scenario(9, params=PARAMS, ts=8.0, seed=1)
+        scenario = make_scenario("kitchen-sink", n=9, params=PARAMS, ts=8.0, seed=1)
         scenario.fault_plan.validate(9, ts=8.0)
         # One victim restarts before TS, one after, the rest stay down.
         restarts = [e for e in scenario.fault_plan if e.kind.value == "restart"]
@@ -24,7 +23,7 @@ class TestScenarioConstruction:
         assert any(e.time > 8.0 for e in restarts)
 
     def test_deciders_include_late_restarter(self):
-        scenario = kitchen_sink_scenario(9, params=PARAMS, ts=8.0, seed=1)
+        scenario = make_scenario("kitchen-sink", n=9, params=PARAMS, ts=8.0, seed=1)
         down_forever = scenario.fault_plan.final_down()
         assert set(scenario.deciders()) == set(range(9)) - down_forever
 
@@ -32,14 +31,14 @@ class TestScenarioConstruction:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            kitchen_sink_scenario(2, params=PARAMS)
+            make_scenario("kitchen-sink", n=2, params=PARAMS)
 
 
 class TestModifiedAlgorithmsSurviveTheKitchenSink:
     @pytest.mark.parametrize("n", [5, 7, 9])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_modified_paxos_decides_within_bound(self, n, seed):
-        scenario = kitchen_sink_scenario(n, params=PARAMS, ts=8.0, seed=seed)
+        scenario = make_scenario("kitchen-sink", n=n, params=PARAMS, ts=8.0, seed=seed)
         result = run_scenario(scenario, "modified-paxos")
         assert result.safety.valid
         assert result.decided_all
@@ -54,7 +53,7 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
         assert lag is not None and lag <= BOUND
 
     def test_late_restarter_recovers_quickly(self):
-        scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=3)
+        scenario = make_scenario("kitchen-sink", n=7, params=PARAMS, ts=8.0, seed=3)
         result = run_scenario(scenario, "modified-paxos")
         lags = restart_recovery_lags(result.simulator)
         late_restarts = [e for e in scenario.fault_plan
@@ -66,19 +65,19 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_modified_bconsensus_stays_safe_and_live(self, seed):
-        scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=seed)
+        scenario = make_scenario("kitchen-sink", n=7, params=PARAMS, ts=8.0, seed=seed)
         result = run_scenario(scenario, "modified-b-consensus")
         assert result.safety.valid
         assert result.decided_all
 
     def test_baselines_remain_safe_even_here(self):
         for protocol in ("traditional-paxos", "rotating-coordinator"):
-            scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=4)
+            scenario = make_scenario("kitchen-sink", n=7, params=PARAMS, ts=8.0, seed=4)
             result = run_scenario(scenario, protocol, enforce_safety=False)
             assert result.safety.valid, f"{protocol}: {result.safety.violations}"
 
     def test_deferred_pre_ts_messages_really_arrive_after_ts(self):
-        scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=5)
+        scenario = make_scenario("kitchen-sink", n=7, params=PARAMS, ts=8.0, seed=5)
         result = run_scenario(scenario, "modified-paxos")
         late_deliveries = [
             env for env in result.simulator.network.envelopes

@@ -12,6 +12,8 @@ from repro.analysis.metrics import DecisionMetrics
 from repro.analysis.trace import TraceRecorder
 from repro.errors import InvariantViolation
 
+from tests.helpers import make_scenario
+
 
 class TestDecisionMetrics:
     def test_lag_clamped_at_zero_for_early_deciders(self):
@@ -177,9 +179,7 @@ class TestSmrSessionEntryRuleWithoutTrace:
     def _untraced_scenario(self):
         from dataclasses import replace
 
-        from repro.workloads.smr import smr_stable_scenario
-
-        scenario = smr_stable_scenario(3, seed=1)
+        scenario = make_scenario("smr-stable", n=3, seed=1)
         scenario.config = replace(scenario.config, trace_enabled=False)
         return scenario
 

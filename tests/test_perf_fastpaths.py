@@ -34,7 +34,8 @@ from repro.net.synchrony import EventualSynchrony
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import default_workload_registry
-from repro.workloads.stable import stable_scenario
+
+from tests.helpers import make_scenario
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
@@ -98,7 +99,7 @@ class TestSeededEquivalence:
 
 class TestCancellableFastPath:
     def test_schedule_without_handle_fires(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1)
         result = run_scenario(scenario, "modified-paxos")
         sim = result.simulator
         calls = []
@@ -109,7 +110,7 @@ class TestCancellableFastPath:
         assert calls == ["fired"]
 
     def test_schedule_in_fast_path(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1)
         result = run_scenario(scenario, "modified-paxos")
         sim = result.simulator
         calls = []
@@ -120,7 +121,7 @@ class TestCancellableFastPath:
 
 class TestEnvelopeLogOptOut:
     def _run(self, record_envelopes):
-        scenario = stable_scenario(5, params=PARAMS, seed=3)
+        scenario = make_scenario("stable", n=5, params=PARAMS, seed=3)
         return run_scenario(
             scenario, "modified-paxos", record_envelopes=record_envelopes
         )

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from repro.analysis.invariants import check_session_entry_rule, check_unique_phase2a_value
 from repro.consensus.spec import check_safety
 from repro.harness.runner import run_scenario
-from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 FAST_SETTINGS = settings(
     max_examples=15,
@@ -41,14 +39,13 @@ class TestSafetyUnderRandomizedChaos:
         drop=st.floats(0.3, 0.95),
     )
     def test_lossy_chaos_never_violates_safety(self, protocol, n, seed, ts, drop):
-        scenario = lossy_chaos_scenario(
-            n,
+        scenario = make_scenario("lossy-chaos",
+            n=n,
             params=PARAMS,
             ts=ts,
             seed=seed,
             drop_probability=drop,
-            max_time=ts + 60.0,
-        )
+            max_time=ts + 60.0,)
         result = run_scenario(scenario, protocol, enforce_safety=False, enforce_invariants=False)
         report = check_safety(result.simulator, expected_deciders=scenario.deciders())
         assert report.valid, report.violations
@@ -60,8 +57,8 @@ class TestSafetyUnderRandomizedChaos:
         seed=st.integers(0, 10_000),
     )
     def test_partitioned_chaos_never_violates_safety(self, protocol, n, seed):
-        scenario = partitioned_chaos_scenario(
-            n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0
+        scenario = make_scenario("partitioned-chaos",
+            n=n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0
         )
         result = run_scenario(scenario, protocol, enforce_safety=False, enforce_invariants=False)
         report = check_safety(result.simulator, expected_deciders=scenario.deciders())
@@ -70,7 +67,7 @@ class TestSafetyUnderRandomizedChaos:
     @FAST_SETTINGS
     @given(n=st.integers(3, 6), seed=st.integers(0, 10_000))
     def test_modified_paxos_invariants_under_random_chaos(self, n, seed):
-        scenario = lossy_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0)
+        scenario = make_scenario("lossy-chaos", n=n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0)
         result = run_scenario(scenario, "modified-paxos", enforce_safety=False)
         assert check_session_entry_rule(result.simulator.trace, n).ok
         assert check_unique_phase2a_value(result.simulator.trace, n).ok
@@ -83,7 +80,7 @@ class TestSafetyUnderRandomizedChaos:
         values=st.lists(st.sampled_from(["red", "green", "blue"]), min_size=6, max_size=6),
     )
     def test_decided_value_is_always_someones_proposal(self, protocol, n, seed, values):
-        scenario = stable_scenario(n, params=PARAMS, seed=seed, initial_values=values[:n])
+        scenario = make_scenario("stable", n=n, params=PARAMS, seed=seed, initial_values=values[:n])
         result = run_scenario(scenario, protocol)
         decided = {record.value for record in result.simulator.decisions.values()}
         assert len(decided) == 1
@@ -99,8 +96,8 @@ class TestDeterminismProperty:
     )
     def test_same_configuration_replays_identically(self, protocol, n, seed):
         def run_once():
-            scenario = partitioned_chaos_scenario(
-                n, params=PARAMS, ts=5.0, seed=seed, max_time=60.0
+            scenario = make_scenario("partitioned-chaos",
+                n=n, params=PARAMS, ts=5.0, seed=seed, max_time=60.0
             )
             result = run_scenario(scenario, protocol, enforce_safety=False)
             return (

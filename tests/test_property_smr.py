@@ -7,10 +7,8 @@ from repro.smr.metrics import check_log_consistency, replica_digests
 from repro.smr.runner import run_smr
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
-from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 FAST_SETTINGS = settings(
     max_examples=10,
@@ -46,7 +44,7 @@ class TestSmrSafetyProperties:
     @FAST_SETTINGS
     @given(n=st.integers(3, 5), seed=st.integers(0, 5_000), raw=COMMANDS)
     def test_logs_never_conflict_under_lossy_chaos(self, n, seed, raw):
-        scenario = lossy_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=80.0)
+        scenario = make_scenario("lossy-chaos", n=n, params=PARAMS, ts=6.0, seed=seed, max_time=80.0)
         schedule = build_schedule(n, raw, scenario.deciders())
         result = run_smr(scenario, schedule, enforce_consistency=False)
         # check_log_consistency raises AgreementViolation on any conflict.
@@ -55,7 +53,7 @@ class TestSmrSafetyProperties:
     @FAST_SETTINGS
     @given(n=st.integers(3, 5), seed=st.integers(0, 5_000), raw=COMMANDS)
     def test_contiguous_prefixes_yield_identical_state_machines(self, n, seed, raw):
-        scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=120.0)
+        scenario = make_scenario("partitioned-chaos", n=n, params=PARAMS, ts=6.0, seed=seed, max_time=120.0)
         schedule = build_schedule(n, raw, scenario.deciders())
         result = run_smr(scenario, schedule, enforce_consistency=False)
         digests = replica_digests(result.simulator, KeyValueStore)
@@ -81,7 +79,7 @@ class TestSmrSafetyProperties:
     @given(seed=st.integers(0, 5_000), raw=COMMANDS)
     def test_stable_runs_replicate_every_command_everywhere(self, seed, raw):
         n = 4
-        scenario = stable_scenario(n, params=PARAMS, seed=seed, max_time=200.0)
+        scenario = make_scenario("stable", n=n, params=PARAMS, seed=seed, max_time=200.0)
         schedule = build_schedule(n, raw, list(range(n)))
         result = run_smr(scenario, schedule)
         assert result.all_commands_learned_everywhere

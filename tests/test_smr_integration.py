@@ -8,17 +8,15 @@ from repro.smr.metrics import check_log_consistency
 from repro.smr.runner import run_smr
 from repro.smr.state_machine import AppendOnlyLedger
 from repro.smr.workload import CommandSchedule, uniform_schedule
-from repro.workloads.chaos import partitioned_chaos_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 PARAMS = make_params(rho=0.01)
 
 
 class TestStableReplication:
     def test_all_commands_replicated_and_states_agree(self):
-        scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
+        scenario = make_scenario("stable", n=5, params=PARAMS, seed=1, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=15, start=10.0, interval=1.0)
         result = run_smr(scenario, schedule)
         assert result.all_commands_learned_everywhere
@@ -28,7 +26,7 @@ class TestStableReplication:
 
     def test_stable_case_latency_is_a_few_message_delays(self):
         """The paper's 'three message delays in the stable case' claim (C6)."""
-        scenario = stable_scenario(5, params=PARAMS, seed=2, max_time=300.0)
+        scenario = make_scenario("stable", n=5, params=PARAMS, seed=2, max_time=300.0)
         # Submit at the established leader (the owner of the highest initial
         # ballot, process n-1), measuring the pure fast path.
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=4)
@@ -40,20 +38,20 @@ class TestStableReplication:
         assert result.worst_submitter_latency() <= 2.0 * PARAMS.delta
 
     def test_forwarded_commands_cost_at_most_one_extra_delay(self):
-        scenario = stable_scenario(5, params=PARAMS, seed=3, max_time=300.0)
+        scenario = make_scenario("stable", n=5, params=PARAMS, seed=3, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=0)
         result = run_smr(scenario, schedule)
         assert result.all_commands_learned_everywhere
         assert result.worst_global_latency() <= 4.0 * PARAMS.delta
 
     def test_ledger_replicas_apply_identical_sequences(self):
-        scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=300.0)
+        scenario = make_scenario("stable", n=5, params=PARAMS, seed=4, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=12, start=10.0, interval=0.5)
         result = run_smr(scenario, schedule, machine_factory=AppendOnlyLedger)
         assert result.replicas_agree
 
     def test_no_commands_is_a_quiet_system(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=5, max_time=40.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=5, max_time=40.0)
         result = run_smr(scenario, CommandSchedule())
         assert result.commands == {}
         assert check_log_consistency(result.simulator) >= 0
@@ -62,7 +60,7 @@ class TestStableReplication:
 class TestReplicationUnderChaos:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_commands_submitted_before_stability_replicate_after_it(self, seed):
-        scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=8.0, seed=seed)
+        scenario = make_scenario("partitioned-chaos", n=7, params=PARAMS, ts=8.0, seed=seed)
         survivors = scenario.deciders()
         schedule = uniform_schedule(
             7, num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0]
@@ -77,7 +75,7 @@ class TestReplicationUnderChaos:
             assert learned - scenario.config.ts <= 2.0 * decision_bound(PARAMS)
 
     def test_post_stability_commands_have_small_latency(self):
-        scenario = partitioned_chaos_scenario(5, params=PARAMS, ts=8.0, seed=3)
+        scenario = make_scenario("partitioned-chaos", n=5, params=PARAMS, ts=8.0, seed=3)
         survivors = scenario.deciders()
         schedule = uniform_schedule(
             5, num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0]
@@ -92,11 +90,11 @@ class TestLeaderFailover:
         """Commands accepted by a leader that then crashes are recovered via phase 1."""
         params = PARAMS
         ts = 6.0
-        scenario = stable_scenario(5, params=params, seed=7, max_time=400.0)
+        scenario = make_scenario("stable", n=5, params=params, seed=7, max_time=400.0)
         # Rebuild as an eventually-synchronous scenario with a crash of the
         # initial leader (process 4, owner of the highest initial ballot)
         # shortly after it starts serving, before TS.
-        chaos = partitioned_chaos_scenario(5, params=params, ts=ts, seed=7, with_crashes=False)
+        chaos = make_scenario("partitioned-chaos", n=5, params=params, ts=ts, seed=7, with_crashes=False)
         chaos.fault_plan = FaultPlan().crash(4, 3.0)
         chaos.expected_deciders = [0, 1, 2, 3]
         schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.4, target_pid=0)
@@ -112,7 +110,7 @@ class TestRestartedReplicaCatchUp:
     def test_replica_restarting_after_ts_catches_up_on_the_log(self):
         params = PARAMS
         ts = 8.0
-        scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=9, with_crashes=False)
+        scenario = make_scenario("partitioned-chaos", n=5, params=params, ts=ts, seed=9, with_crashes=False)
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
         schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_smr(scenario, schedule)

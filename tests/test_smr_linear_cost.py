@@ -28,11 +28,8 @@ from repro.smr.outcome import snapshot_smr_outcome
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.storage.stable import StableStore
-from repro.workloads.chaos import partitioned_chaos_scenario
-from repro.workloads.smr import smr_stable_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 PARAMS = make_params(rho=0.01)
 
@@ -72,7 +69,7 @@ class TestGoldenRecords:
         assert record_digest(outcome, workload) == digest
 
     def test_restart_after_ts_record_unchanged(self):
-        scenario = partitioned_chaos_scenario(5, params=PARAMS, ts=8.0, seed=9, with_crashes=False)
+        scenario = make_scenario("partitioned-chaos", n=5, params=PARAMS, ts=8.0, seed=9, with_crashes=False)
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, 23.0)
         schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_smr(scenario, schedule)
@@ -92,7 +89,7 @@ def run_counting_writes(num_commands):
         writes.append(dict(values))
         return original(self, values)
 
-    scenario = smr_stable_scenario(5, params=PARAMS, seed=3)
+    scenario = make_scenario("smr-stable", n=5, params=PARAMS, seed=3)
     schedule = uniform_schedule(5, num_commands=num_commands, start=10.0, interval=0.7)
     StableStore.update = update
     try:
@@ -144,13 +141,13 @@ class TestNoStopPredicate:
         return seen
 
     def test_run_smr_polls_no_predicate(self, stop_predicates):
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=200.0)
         result = run_smr(scenario, uniform_schedule(3, num_commands=4, start=10.0, interval=1.0))
         assert result.all_commands_learned_everywhere
         assert stop_predicates == [None]
 
     def test_run_scenario_polls_no_predicate(self, stop_predicates):
-        scenario = stable_scenario(3, params=PARAMS, seed=1)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1)
         result = run_scenario(scenario, "modified-paxos")
         assert sorted(result.simulator.decisions) == [0, 1, 2]
         assert stop_predicates == [None]
@@ -176,7 +173,7 @@ class TestCountdown:
         assert stops == [1]
 
     def test_no_commands_runs_to_the_horizon(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=40.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=40.0)
         result = run_smr(scenario, CommandSchedule())
         assert result.simulator.now() <= 40.0
         assert result.simulator.now() > 39.0
@@ -186,12 +183,12 @@ class TestScheduleHorizonWithDrift:
     def test_submission_just_under_horizon_may_never_fire(self):
         # Local time 19.9 < max_time 20, but a clock running at 1 - rho = 0.99
         # reaches it only at real time ~20.1, after the run ends.
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=20.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=20.0)
         schedule = CommandSchedule().add(0, 19.9, "drifting-cmd", ("set", "k", "v"))
         with pytest.raises(ConfigurationError, match="drifting-cmd"):
             run_smr(scenario, schedule)
 
     def test_submission_reachable_on_the_slowest_clock_is_allowed(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=40.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=40.0)
         schedule = CommandSchedule().add(0, 39.6, "ok-cmd", ("set", "k", "v"))
         run_smr(scenario, schedule)

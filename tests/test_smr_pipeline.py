@@ -32,8 +32,9 @@ from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.workloads.registry import default_workload_registry
-from repro.workloads.smr import SMR_WORKLOADS, is_smr_workload
-from repro.workloads.stable import stable_scenario
+from repro.workloads.registry import SMR_WORKLOADS, is_smr_workload
+
+from tests.helpers import make_scenario
 
 PARAMS = default_experiment_params()
 
@@ -93,7 +94,7 @@ class TestSmrWorkloadFamily:
         via_registry = default_workload_registry().create(
             "smr-stable", n=5, params=PARAMS, seed=1
         )
-        direct = stable_scenario(5, params=PARAMS, seed=1, max_time=400.0 * PARAMS.delta)
+        direct = make_scenario("stable", n=5, params=PARAMS, seed=1, max_time=400.0 * PARAMS.delta)
         assert via_registry.name == direct.name
         assert via_registry.config == direct.config
 
@@ -183,14 +184,14 @@ class TestDigestSemantics:
 
 class TestScheduleHorizonValidation:
     def test_submission_past_horizon_fails_loudly(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=20.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=20.0)
         schedule = CommandSchedule().add(0, 25.0, "late-cmd", ("set", "k", "v"))
         with pytest.raises(ConfigurationError, match="late-cmd") as excinfo:
             run_smr(scenario, schedule)
         assert "25" in str(excinfo.value) and "20" in str(excinfo.value)
 
     def test_submission_at_horizon_is_allowed(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
+        scenario = make_scenario("stable", n=3, params=PARAMS, seed=1, max_time=200.0)
         schedule = CommandSchedule().add(0, 12.0, "ok-cmd", ("set", "k", "v"))
         result = run_smr(scenario, schedule)
         assert result.all_commands_learned_everywhere
@@ -226,7 +227,6 @@ class TestE9Parity:
     N, STABLE, CHAOS = 5, 6, 3
 
     def side_harness_table(self) -> str:
-        from repro.workloads.chaos import partitioned_chaos_scenario
 
         delta = PARAMS.delta
         table = ExperimentTable(
@@ -241,7 +241,7 @@ class TestE9Parity:
             ),
         )
         leader = run_smr(
-            stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
+            make_scenario("stable", n=self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=self.N - 1),
         )
@@ -249,14 +249,14 @@ class TestE9Parity:
                       worst_submitter_latency_delta=leader.worst_submitter_latency() / delta,
                       worst_global_latency_delta=leader.worst_global_latency() / delta)
         follower = run_smr(
-            stable_scenario(self.N, params=PARAMS, seed=2, max_time=400.0 * delta),
+            make_scenario("stable", n=self.N, params=PARAMS, seed=2, max_time=400.0 * delta),
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=0),
         )
         table.add_row(case="stable, submitted at follower", commands=self.STABLE,
                       worst_submitter_latency_delta=follower.worst_submitter_latency() / delta,
                       worst_global_latency_delta=follower.worst_global_latency() / delta)
-        chaos_scenario = partitioned_chaos_scenario(self.N, params=PARAMS,
+        chaos_scenario = make_scenario("partitioned-chaos", n=self.N, params=PARAMS,
                                                     ts=10.0 * delta, seed=3)
         chaos = run_smr(
             chaos_scenario,
@@ -292,7 +292,7 @@ class TestE9Parity:
     def test_seeded_digests_identical_to_side_harness(self):
         delta = PARAMS.delta
         direct = run_smr(
-            stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
+            make_scenario("stable", n=self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=self.N - 1),
         )

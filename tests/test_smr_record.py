@@ -30,7 +30,7 @@ from repro.results.record import (
 from repro.results.smr_record import SmrRecord
 from repro.results.store import JsonlStore, MemoryStore, SqliteStore
 from repro.smr.workload import ScheduleSpec
-from repro.workloads.smr import SMR_WORKLOADS
+from repro.workloads.registry import SMR_WORKLOADS
 
 from helpers import make_params
 

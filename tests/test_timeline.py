@@ -3,10 +3,8 @@
 from repro.analysis.timeline import Milestone, extract_timelines, render_timelines
 from repro.analysis.trace import TraceRecorder
 from repro.harness.runner import run_scenario
-from repro.workloads.chaos import partitioned_chaos_scenario
-from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, make_scenario
 
 
 def crafted_trace():
@@ -75,7 +73,7 @@ class TestRendering:
 class TestOnRealRuns:
     def test_modified_paxos_run_produces_sensible_timeline(self):
         params = make_params(rho=0.01)
-        scenario = partitioned_chaos_scenario(5, params=params, ts=6.0, seed=3)
+        scenario = make_scenario("partitioned-chaos", n=5, params=params, ts=6.0, seed=3)
         result = run_scenario(scenario, "modified-paxos")
         text = render_timelines(result.simulator.trace, 5, ts=6.0)
         assert "entered session" in text
@@ -83,6 +81,6 @@ class TestOnRealRuns:
 
     def test_rotating_coordinator_timeline_mentions_rounds(self):
         params = make_params(rho=0.01)
-        result = run_scenario(stable_scenario(3, params=params, seed=1), "rotating-coordinator")
+        result = run_scenario(make_scenario("stable", n=3, params=params, seed=1), "rotating-coordinator")
         text = render_timelines(result.simulator.trace, 3)
         assert "entered round 0" in text
