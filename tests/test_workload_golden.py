@@ -8,9 +8,14 @@ the environment dict (it feeds content keys and records), the notes, the
 expected deciders, the fault plan and the post-``TS`` crash allowance.
 ``tests/data/list_workloads_params.txt`` is the output of
 ``repro list-workloads --params`` (names, summaries, parameters, defaults
-and help text).  Both are rebuilt here and compared byte for byte.
+and help text).  ``tests/data/list_environments.txt`` and
+``tests/data/list_environments.json`` are the outputs of
+``repro list-environments`` and ``repro list-environments --json``: every
+named environment with its summary and serialized spec, and every adversary
+and fault primitive, so an entry that is dropped or silently overwritten
+shows up as a diff.  All are rebuilt here and compared byte for byte.
 
-To regenerate both files after a deliberate change::
+To regenerate the files after a deliberate change::
 
     PYTHONPATH=src python tests/test_workload_golden.py --write
 """
@@ -31,6 +36,10 @@ from repro.workloads.registry import default_workload_registry
 DATA = Path(__file__).parent / "data"
 SCENARIOS = DATA / "workload_scenarios.json"
 LISTING = DATA / "list_workloads_params.txt"
+ENV_LISTINGS = {
+    DATA / "list_environments.txt": ["list-environments"],
+    DATA / "list_environments.json": ["list-environments", "--json"],
+}
 
 SIZES = (3, 5, 9)
 
@@ -106,11 +115,15 @@ def render_scenarios() -> str:
     return json.dumps(build_scenarios(), indent=1, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def render_listing() -> str:
+def cli_output(argv: List[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert main(["list-workloads", "--params"]) == 0
+        assert main(argv) == 0
     return buffer.getvalue()
+
+
+def render_listing() -> str:
+    return cli_output(["list-workloads", "--params"])
 
 
 def test_every_workload_has_a_non_default_case():
@@ -130,8 +143,15 @@ def test_list_workloads_params_matches_the_golden_listing():
     assert render_listing() == LISTING.read_text(encoding="utf-8")
 
 
+def test_list_environments_matches_the_golden_listings():
+    for path, argv in ENV_LISTINGS.items():
+        assert cli_output(argv) == path.read_text(encoding="utf-8"), path.name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_workload_golden.py --write")
     SCENARIOS.write_text(render_scenarios(), encoding="utf-8")
     LISTING.write_text(render_listing(), encoding="utf-8")
+    for path, argv in ENV_LISTINGS.items():
+        path.write_text(cli_output(argv), encoding="utf-8")
