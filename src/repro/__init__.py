@@ -54,7 +54,6 @@ print everything the registries know; ``python -m repro results ls
 from repro._version import __version__
 from repro.consensus.registry import default_registry
 from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.env.registry import EnvironmentRegistry, default_environment_registry
 from repro.env.spec import (
     AdversarySpec,
     EnvironmentSpec,
@@ -94,14 +93,16 @@ from repro.results import (
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.sim.simulator import SimulationConfig, Simulator
-from repro.workloads.environments import environment_scenario
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
+from repro.workloads.registry import (
+    ScenarioRegistry,
+    default_workload_registry,
+    environment_scenario,
+)
 from repro.workloads.scenario import Scenario
 
 __all__ = [
     "AdversarySpec",
     "CommandSchedule",
-    "EnvironmentRegistry",
     "EnvironmentSpec",
     "Executor",
     "ExperimentSpec",
@@ -132,7 +133,6 @@ __all__ = [
     "__version__",
     "content_key_for_task",
     "decision_bound",
-    "default_environment_registry",
     "default_registry",
     "default_workload_registry",
     "environment_scenario",

@@ -20,11 +20,11 @@ workload instead runs the multi-decree Modified Paxos service
 (:mod:`repro.smr`) under a uniform command schedule shaped by
 ``--commands`` / ``--command-start`` / ``--command-interval`` /
 ``--target-pid``.  ``run --env`` takes a declarative environment — a name
-from the :class:`~repro.env.registry.EnvironmentRegistry` or an inline
-:class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it as a
-scenario.  ``experiments`` delegates to the campaign runner
-(:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
-process pool, ``--store`` streams every run record into a
+from :data:`~repro.env.registry.ENVIRONMENTS` or an inline
+:class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it through
+the generic ``environment`` workload.  ``experiments`` delegates to the
+campaign runner (:mod:`repro.harness.campaign`); with ``--jobs N`` the runs
+fan out over a process pool, ``--store`` streams every run record into a
 :class:`~repro.results.store.ResultStore`, and ``--resume`` loads runs
 already present instead of re-executing them.  ``results`` inspects such
 stores: ``ls``, ``show <key>``, ``query``, ``export`` (JSON/CSV), and
@@ -42,13 +42,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import render_run_report
 from repro.analysis.timeline import render_timelines
 from repro.consensus.registry import default_registry
-from repro.env.registry import default_environment_registry
+from repro.env.registry import ADVERSARIES, ENVIRONMENTS, FAULTS, environment
 from repro.env.spec import EnvironmentSpec
 from repro.errors import ConfigurationError
 from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
-from repro.workloads.environments import environment_scenario
 from repro.workloads.registry import ScenarioRegistry, default_workload_registry, is_smr_workload
 from repro.workloads.scenario import Scenario
 
@@ -64,23 +63,16 @@ def _build_workload(
     params: TimingParams,
     ts: Optional[float],
     seed: int,
+    env: Optional[str],
 ) -> Scenario:
     kwargs = {"n": n, "params": params, "seed": seed}
     if ts is not None:
         # Let a workload without a ts knob (e.g. "stable") reject it clearly.
         kwargs["ts"] = ts
+    if env is not None:
+        # --env is an environment name or an inline EnvironmentSpec JSON object.
+        kwargs["env"] = EnvironmentSpec.from_json(env) if env.lstrip().startswith("{") else env
     return registry.create(name, **kwargs)
-
-
-def _build_environment(
-    env: str, n: int, params: TimingParams, ts: Optional[float], seed: int
-) -> Scenario:
-    """Resolve ``--env`` (a registry name or inline JSON) into a scenario."""
-    if env.lstrip().startswith("{"):
-        spec = EnvironmentSpec.from_json(env)
-    else:
-        spec = default_environment_registry().environment(env)
-    return environment_scenario(spec, n=n, params=params, ts=ts, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="workload name (default: partitioned-chaos)")
     run_parser.add_argument(
         "--env", default=None, metavar="NAME_OR_JSON",
-        help="run a declarative environment instead of --workload: a name from "
-             "`repro list-environments` or an inline EnvironmentSpec JSON object",
+        help="run a declarative environment through the `environment` workload: a name "
+             "from `repro list-environments` or an inline EnvironmentSpec JSON object",
     )
     run_parser.add_argument("--n", type=int, default=7, help="number of processes")
     run_parser.add_argument("--seed", type=int, default=0)
@@ -299,12 +291,20 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
 def _command_run(args: argparse.Namespace) -> int:
     params = TimingParams(delta=args.delta, rho=args.rho, epsilon=args.epsilon)
     registry = default_registry()
-    if args.env is not None and args.workload is not None:
-        print("pass either --workload or --env, not both")
+    if args.env is not None:
+        if args.workload not in (None, "environment"):
+            print("pass either --workload or --env, not both")
+            return 2
+        workload = "environment"
+    elif args.workload == "environment":
+        print("workload 'environment' needs --env NAME_OR_JSON "
+              "(a name from `repro list-environments` or an EnvironmentSpec JSON object)")
         return 2
-    if args.workload is not None and is_smr_workload(args.workload):
+    else:
+        workload = args.workload if args.workload is not None else "partitioned-chaos"
+    if is_smr_workload(workload):
         if args.protocol is not None and args.protocol != "multi-paxos-smr":
-            print(f"workload {args.workload!r} always runs the multi-decree service "
+            print(f"workload {workload!r} always runs the multi-decree service "
                   "(multi-paxos-smr); drop --protocol")
             return 2
         return _command_run_smr(args, params)
@@ -313,22 +313,20 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"unknown protocol {protocol!r}; available: {', '.join(registry.names())}")
         return 2
     try:
-        if args.env is not None:
-            scenario = _build_environment(args.env, args.n, params, args.ts, args.seed)
-        else:
-            workloads = default_workload_registry()
-            workload = args.workload if args.workload is not None else "partitioned-chaos"
-            scenario = _build_workload(workloads, workload, args.n, params, args.ts, args.seed)
+        scenario = _build_workload(
+            default_workload_registry(), workload, args.n, params, args.ts, args.seed, args.env
+        )
+        # Building the run checks the fault plan against n (e.g. unknown pids).
+        result = run_scenario(
+            scenario,
+            protocol,
+            registry=registry,
+            enforce_safety=not args.allow_unsafe,
+            enforce_invariants=not args.allow_unsafe,
+        )
     except ConfigurationError as error:
         print(error)
         return 2
-    result = run_scenario(
-        scenario,
-        protocol,
-        registry=registry,
-        enforce_safety=not args.allow_unsafe,
-        enforce_invariants=not args.allow_unsafe,
-    )
     print(render_run_report(result))
     if args.timeline:
         print()
@@ -365,27 +363,21 @@ def _command_list_workloads(args: argparse.Namespace) -> int:
 
 
 def _command_list_environments(args: argparse.Namespace) -> int:
-    registry = default_environment_registry()
+    names = sorted(ENVIRONMENTS)
     if args.as_json:
-        for name in registry.names():
+        for name in names:
             print(f"{name}:")
-            print(registry.environment(name).to_json(indent=2))
+            print(environment(name).to_json(indent=2))
             print()
         return 0
-    entries = [(name, registry.entry(name).summary) for name in registry.names()]
     print("environments (run with `repro run --env <name>`):")
-    print(_render_listing(entries))
+    print(_render_listing([(name, ENVIRONMENTS[name][1]) for name in names]))
     print()
     print("adversary primitives (compose into EnvironmentSpec JSON):")
-    print(_render_listing(
-        [(kind, registry.adversary_primitive(kind).summary)
-         for kind in registry.adversary_kinds()]
-    ))
+    print(_render_listing([(kind, ADVERSARIES[kind].summary) for kind in sorted(ADVERSARIES)]))
     print()
     print("fault-schedule primitives:")
-    print(_render_listing(
-        [(kind, registry.fault_primitive(kind).summary) for kind in registry.fault_kinds()]
-    ))
+    print(_render_listing([(kind, FAULTS[kind].summary) for kind in sorted(FAULTS)]))
     return 0
 
 

@@ -5,20 +5,23 @@ delivery, the stabilization time, crash/restart schedules — determines
 consensus latency.  This package makes the environment a first-class,
 serializable value: an :class:`EnvironmentSpec` bundles a synchrony spec, an
 adversary spec (optionally nested), and a fault-schedule spec, all plain
-data that round-trips through JSON; the
-:class:`~repro.env.registry.EnvironmentRegistry` names the available
-primitives and ready-made environments.  Workloads instantiate scenarios
+data that round-trips through JSON.  The tables in
+:mod:`repro.env.registry` name the available primitives
+(:data:`~repro.env.registry.ADVERSARIES`,
+:data:`~repro.env.registry.FAULTS`) and ready-made environments
+(:data:`~repro.env.registry.ENVIRONMENTS`).  Workloads instantiate scenarios
 *from* specs instead of hand-building networks, and every
 :class:`~repro.consensus.values.RunOutcome` records the resolved spec so a
 result is reproducible from its own metadata.
 """
 
 from repro.env.registry import (
+    ADVERSARIES,
+    ENVIRONMENTS,
+    FAULTS,
     AdversaryPrimitive,
-    EnvironmentRegistry,
     FaultPrimitive,
-    NamedEnvironment,
-    default_environment_registry,
+    environment,
 )
 from repro.env.spec import (
     AdversarySpec,
@@ -29,14 +32,15 @@ from repro.env.spec import (
 )
 
 __all__ = [
+    "ADVERSARIES",
+    "ENVIRONMENTS",
+    "FAULTS",
     "AdversaryPrimitive",
     "AdversarySpec",
-    "EnvironmentRegistry",
     "EnvironmentSpec",
     "FaultPrimitive",
     "FaultSpec",
-    "NamedEnvironment",
     "PartitionDecl",
     "SynchronySpec",
-    "default_environment_registry",
+    "environment",
 ]

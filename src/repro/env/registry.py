@@ -1,12 +1,20 @@
-"""Registry of named environment primitives and complete environments.
+"""The environment tables: adversary and fault primitives, and named environments.
 
-This mirrors :class:`repro.workloads.registry.ScenarioRegistry`: adversary
-and fault-schedule *primitives* are registered by kind with a parameter
-schema, and complete named *environments* (ready-made
-:class:`~repro.env.spec.EnvironmentSpec` values) are registered by name so
-the CLI (``repro list-environments``, ``repro run --env <name>``), the
-generic ``environment`` workload, and user code all resolve environments
-through one place.
+Three module-level dicts hold every environment building block, as
+:data:`repro.workloads.registry.WORKLOADS` holds every workload:
+
+* :data:`ADVERSARIES` maps an adversary kind to its
+  :class:`AdversaryPrimitive` (builder plus parameter schema);
+* :data:`FAULTS` maps a fault-schedule kind to its :class:`FaultPrimitive`;
+* :data:`ENVIRONMENTS` maps the name of a complete, ready-made
+  :class:`~repro.env.spec.EnvironmentSpec` to its factory and summary.
+
+The CLI (``repro list-environments``, ``repro run --env <name>``), the
+generic ``environment`` workload and user code all read these tables.
+:func:`adversary_primitive` and :func:`fault_primitive` look a spec's kind
+up and check its parameters, :func:`validate_environment` checks a whole
+spec and :func:`environment` builds a named one.  A user-defined primitive
+is one more entry in :data:`ADVERSARIES` or :data:`FAULTS`.
 
 Parameter conventions shared by every primitive:
 
@@ -50,11 +58,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import SimulationConfig
 
 __all__ = [
+    "ADVERSARIES",
     "AdversaryPrimitive",
-    "EnvironmentRegistry",
+    "ENVIRONMENTS",
+    "FAULTS",
     "FaultPrimitive",
-    "NamedEnvironment",
-    "default_environment_registry",
+    "adversary_primitive",
+    "environment",
+    "fault_primitive",
+    "validate_environment",
 ]
 
 AdversaryBuilder = Callable[
@@ -66,9 +78,8 @@ EnvironmentFactory = Callable[..., EnvironmentSpec]
 
 @dataclass(frozen=True)
 class AdversaryPrimitive:
-    """One registered adversary kind: builder plus parameter schema."""
+    """One adversary kind: builder plus parameter schema."""
 
-    kind: str
     builder: AdversaryBuilder
     summary: str = ""
     parameters: Tuple[str, ...] = ()
@@ -77,143 +88,62 @@ class AdversaryPrimitive:
 
 @dataclass(frozen=True)
 class FaultPrimitive:
-    """One registered fault-schedule kind: builder plus parameter schema."""
+    """One fault-schedule kind: builder plus parameter schema."""
 
-    kind: str
     builder: FaultBuilder
     summary: str = ""
     parameters: Tuple[str, ...] = ()
     post_ts_crashes: bool = False
 
 
-@dataclass(frozen=True)
-class NamedEnvironment:
-    """A complete, ready-made environment registered under a name."""
+def _primitive(table: Mapping[str, Any], what: str, schema: str, kind: str,
+               params: Mapping[str, Any]) -> Any:
+    primitive = table.get(kind)
+    if primitive is None:
+        raise ConfigurationError(
+            f"unknown {what} kind {kind!r}; available: {', '.join(sorted(table))}"
+        )
+    unknown = sorted(set(params) - set(primitive.parameters))
+    if unknown:
+        raise ConfigurationError(
+            f"{schema} {kind!r} does not accept parameters {unknown}; "
+            f"accepted: {', '.join(sorted(primitive.parameters)) or '(none)'}"
+        )
+    return primitive
 
-    name: str
-    factory: EnvironmentFactory
-    summary: str = ""
+
+def adversary_primitive(spec: AdversarySpec) -> AdversaryPrimitive:
+    """The primitive of ``spec.kind``, once ``spec``'s parameters and inner check out."""
+    primitive = _primitive(ADVERSARIES, "adversary", "adversary", spec.kind, spec.params)
+    if spec.inner is not None and not primitive.takes_inner:
+        raise ConfigurationError(f"adversary kind {spec.kind!r} does not wrap an inner adversary")
+    return primitive
 
 
-class EnvironmentRegistry:
-    """Kind → primitive and name → environment mappings with validation."""
+def fault_primitive(spec: FaultSpec) -> FaultPrimitive:
+    """The primitive of ``spec.kind``, once ``spec``'s parameters check out."""
+    return _primitive(FAULTS, "fault", "fault schedule", spec.kind, spec.params)
 
-    def __init__(self) -> None:
-        self._adversaries: Dict[str, AdversaryPrimitive] = {}
-        self._faults: Dict[str, FaultPrimitive] = {}
-        self._environments: Dict[str, NamedEnvironment] = {}
 
-    # -- registration -------------------------------------------------------
-    def register_adversary(self, primitive: AdversaryPrimitive) -> None:
-        if primitive.kind in self._adversaries:
-            raise ConfigurationError(f"adversary kind {primitive.kind!r} registered twice")
-        self._adversaries[primitive.kind] = primitive
+def validate_environment(spec: EnvironmentSpec) -> None:
+    """Check kinds and parameter names without building anything."""
+    adversary: Optional[AdversarySpec] = spec.adversary
+    while adversary is not None:
+        adversary_primitive(adversary)
+        adversary = adversary.inner
+    fault_primitive(spec.faults)
 
-    def register_faults(self, primitive: FaultPrimitive) -> None:
-        if primitive.kind in self._faults:
-            raise ConfigurationError(f"fault kind {primitive.kind!r} registered twice")
-        self._faults[primitive.kind] = primitive
 
-    def register_environment(self, entry: NamedEnvironment) -> None:
-        if entry.name in self._environments:
-            raise ConfigurationError(f"environment {entry.name!r} registered twice")
-        self._environments[entry.name] = entry
-
-    # -- lookup -------------------------------------------------------------
-    def adversary_kinds(self) -> List[str]:
-        return sorted(self._adversaries)
-
-    def fault_kinds(self) -> List[str]:
-        return sorted(self._faults)
-
-    def names(self) -> List[str]:
-        return sorted(self._environments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._environments
-
-    def adversary_primitive(self, kind: str) -> AdversaryPrimitive:
-        primitive = self._adversaries.get(kind)
-        if primitive is None:
-            raise ConfigurationError(
-                f"unknown adversary kind {kind!r}; available: {', '.join(self.adversary_kinds())}"
-            )
-        return primitive
-
-    def fault_primitive(self, kind: str) -> FaultPrimitive:
-        primitive = self._faults.get(kind)
-        if primitive is None:
-            raise ConfigurationError(
-                f"unknown fault kind {kind!r}; available: {', '.join(self.fault_kinds())}"
-            )
-        return primitive
-
-    def entry(self, name: str) -> NamedEnvironment:
-        entry = self._environments.get(name)
-        if entry is None:
-            raise ConfigurationError(
-                f"unknown environment {name!r}; available: {', '.join(self.names())}"
-            )
-        return entry
-
-    def environment(self, name: str, **params: Any) -> EnvironmentSpec:
-        """Build the named environment spec (factory kwargs pass through)."""
-        spec = self.entry(name).factory(**params)
-        self.validate_environment(spec)
-        return spec
-
-    # -- building -----------------------------------------------------------
-    def build_adversary(
-        self,
-        spec: AdversarySpec,
-        config: "SimulationConfig",
-        rng: SeededRng,
-        inner: Optional[Adversary],
-    ) -> Adversary:
-        primitive = self.adversary_primitive(spec.kind)
-        self._check_params(spec.kind, spec.params, primitive.parameters, "adversary")
-        if inner is not None and not primitive.takes_inner:
-            raise ConfigurationError(
-                f"adversary kind {spec.kind!r} does not wrap an inner adversary"
-            )
-        return primitive.builder(config, rng, spec.params, inner)
-
-    def build_faults(self, spec: FaultSpec, config: "SimulationConfig") -> FaultPlan:
-        primitive = self.fault_primitive(spec.kind)
-        self._check_params(spec.kind, spec.params, primitive.parameters, "fault schedule")
-        return primitive.builder(config, spec.params)
-
-    def validate_environment(self, spec: EnvironmentSpec) -> None:
-        """Check kinds and parameter names without building anything."""
-        adversary: Optional[AdversarySpec] = spec.adversary
-        while adversary is not None:
-            primitive = self.adversary_primitive(adversary.kind)
-            self._check_params(adversary.kind, adversary.params, primitive.parameters, "adversary")
-            if adversary.inner is not None and not primitive.takes_inner:
-                raise ConfigurationError(
-                    f"adversary kind {adversary.kind!r} does not wrap an inner adversary"
-                )
-            adversary = adversary.inner
-        fault = self.fault_primitive(spec.faults.kind)
-        self._check_params(spec.faults.kind, spec.faults.params, fault.parameters, "fault schedule")
-
-    @staticmethod
-    def _check_params(
-        kind: str, params: Mapping[str, Any], accepted: Tuple[str, ...], what: str
-    ) -> None:
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            raise ConfigurationError(
-                f"{what} {kind!r} does not accept parameters {unknown}; "
-                f"accepted: {', '.join(sorted(accepted)) or '(none)'}"
-            )
-
-    # -- reporting ----------------------------------------------------------
-    def describe_environment(self, name: str) -> str:
-        entry = self.entry(name)
-        spec = entry.factory()
-        text = f"{name}: {entry.summary}" if entry.summary else name
-        return f"{text}\n  {spec.describe()}"
+def environment(name: str, **params: Any) -> EnvironmentSpec:
+    """Build the named environment spec (factory kwargs pass through)."""
+    entry = ENVIRONMENTS.get(name)
+    if entry is None:
+        raise ConfigurationError(
+            f"unknown environment {name!r}; available: {', '.join(sorted(ENVIRONMENTS))}"
+        )
+    spec = entry[0](**params)
+    validate_environment(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +223,16 @@ def _build_gray_partition(config, rng, params, inner):
 
 
 def _build_asymmetric_link(config, rng, params, inner):
-    links = params.get("links")
+    hub, links = params.get("hub"), params.get("links")
+    named = ([hub] if hub is not None else []) + [pid for link in links or () for pid in link]
+    for pid in named:
+        if not isinstance(pid, int) or not 0 <= pid < config.n:
+            raise ConfigurationError(
+                f"asymmetric-link names pid {pid!r}, but the run has n={config.n} processes"
+            )
     return AsymmetricLinkAdversary(
         delta=_delta(config),
-        hub=params.get("hub"),
+        hub=hub,
         direction=params.get("direction", "both"),
         links=[tuple(link) for link in links] if links is not None else None,
         slow_factor=params.get("slow_factor", 4.0),
@@ -568,128 +504,92 @@ def _env_churn(
     )
 
 
-def _register_defaults(registry: EnvironmentRegistry) -> None:
-    for primitive in (
-        AdversaryPrimitive(
-            "benign",
-            _build_benign,
-            "prompt delivery on every link, even before TS",
-            ("min_delay_fraction",),
-        ),
-        AdversaryPrimitive("drop-all", _build_drop_all, "every pre-TS message is lost"),
-        AdversaryPrimitive(
-            "random-chaos",
-            _build_random_chaos,
-            "independent random loss/delay/deferral/duplication per message",
-            ("drop_probability", "defer_probability", "max_defer_delta",
-             "max_delay_factor", "duplicate_prob"),
-        ),
-        AdversaryPrimitive(
-            "partition",
-            _build_partition,
-            "hard partition: cross-group messages dropped (optionally leaking)",
-            ("partition", "intra_delay_max_delta", "leak_probability",
-             "leak_max_delay_delta", "leak_past_ts"),
-        ),
-        AdversaryPrimitive(
-            "gray-partition",
-            _build_gray_partition,
-            "partial partition whose cross-group drop rate heals gradually before TS",
-            ("partition", "heal_start", "start_drop", "end_drop",
-             "intra_delay_max_delta", "leak_max_delay_delta"),
-        ),
-        AdversaryPrimitive(
-            "asymmetric-link",
-            _build_asymmetric_link,
-            "designated slow links (to/from a hub) crawl; all other links are prompt",
-            ("hub", "direction", "links", "slow_factor", "fast_min_fraction", "slow_post_ts"),
-        ),
-        AdversaryPrimitive(
-            "worst-case-delay",
-            _build_worst_case_delay,
-            "post-TS deliveries stretched to (almost) the full delta; wraps a pre-TS adversary",
-            ("jitter",),
-            takes_inner=True,
-        ),
-        AdversaryPrimitive(
-            "deferring-partition",
-            _build_deferring_partition,
-            "partition whose cross-group leaks surface only after TS; wraps any "
-            "partition-shaped adversary",
-            ("defer_probability", "max_defer_delta", "duplicate_prob"),
-            takes_inner=True,
-        ),
-    ):
-        registry.register_adversary(primitive)
+ADVERSARIES: Dict[str, AdversaryPrimitive] = {
+    "benign": AdversaryPrimitive(
+        _build_benign,
+        "prompt delivery on every link, even before TS",
+        ("min_delay_fraction",),
+    ),
+    "drop-all": AdversaryPrimitive(_build_drop_all, "every pre-TS message is lost"),
+    "random-chaos": AdversaryPrimitive(
+        _build_random_chaos,
+        "independent random loss/delay/deferral/duplication per message",
+        ("drop_probability", "defer_probability", "max_defer_delta",
+         "max_delay_factor", "duplicate_prob"),
+    ),
+    "partition": AdversaryPrimitive(
+        _build_partition,
+        "hard partition: cross-group messages dropped (optionally leaking)",
+        ("partition", "intra_delay_max_delta", "leak_probability",
+         "leak_max_delay_delta", "leak_past_ts"),
+    ),
+    "gray-partition": AdversaryPrimitive(
+        _build_gray_partition,
+        "partial partition whose cross-group drop rate heals gradually before TS",
+        ("partition", "heal_start", "start_drop", "end_drop",
+         "intra_delay_max_delta", "leak_max_delay_delta"),
+    ),
+    "asymmetric-link": AdversaryPrimitive(
+        _build_asymmetric_link,
+        "designated slow links (to/from a hub) crawl; all other links are prompt",
+        ("hub", "direction", "links", "slow_factor", "fast_min_fraction", "slow_post_ts"),
+    ),
+    "worst-case-delay": AdversaryPrimitive(
+        _build_worst_case_delay,
+        "post-TS deliveries stretched to (almost) the full delta; wraps a pre-TS adversary",
+        ("jitter",),
+        takes_inner=True,
+    ),
+    "deferring-partition": AdversaryPrimitive(
+        _build_deferring_partition,
+        "partition whose cross-group leaks surface only after TS; wraps any "
+        "partition-shaped adversary",
+        ("defer_probability", "max_defer_delta", "duplicate_prob"),
+        takes_inner=True,
+    ),
+}
 
-    for fault in (
-        FaultPrimitive("none", _build_no_faults, "no crashes, no restarts"),
-        FaultPrimitive(
-            "explicit",
-            _build_explicit_faults,
-            "a literal list of timestamped crash/restart events",
-            ("events",),
-        ),
-        FaultPrimitive(
-            "random-before-ts",
-            _build_random_before_ts,
-            "random minority crashes (and optional recoveries) strictly before TS",
-            ("max_faulty", "allow_recovery", "rng_label"),
-        ),
-        FaultPrimitive(
-            "crash-forever",
-            _build_crash_forever,
-            "crash the given pids at one time and never restart them",
-            ("pids", "time"),
-        ),
-        FaultPrimitive(
-            "staggered-restarts",
-            _build_staggered_restarts,
-            "crash pids together, restart them one by one",
-            ("pids", "crash_time", "first_restart", "spacing"),
-        ),
-        FaultPrimitive(
-            "churn-waves",
-            _build_churn_waves,
-            "repeated post-TS crash/restart waves over a minority (majority stays up)",
-            ("victims", "num_victims", "first_offset", "up_time", "down_time",
-             "waves", "stagger", "pre_ts_crash_fraction"),
-            post_ts_crashes=True,
-        ),
-    ):
-        registry.register_faults(fault)
+FAULTS: Dict[str, FaultPrimitive] = {
+    "none": FaultPrimitive(_build_no_faults, "no crashes, no restarts"),
+    "explicit": FaultPrimitive(
+        _build_explicit_faults,
+        "a literal list of timestamped crash/restart events",
+        ("events",),
+    ),
+    "random-before-ts": FaultPrimitive(
+        _build_random_before_ts,
+        "random minority crashes (and optional recoveries) strictly before TS",
+        ("max_faulty", "allow_recovery", "rng_label"),
+    ),
+    "crash-forever": FaultPrimitive(
+        _build_crash_forever,
+        "crash the given pids at one time and never restart them",
+        ("pids", "time"),
+    ),
+    "staggered-restarts": FaultPrimitive(
+        _build_staggered_restarts,
+        "crash pids together, restart them one by one",
+        ("pids", "crash_time", "first_restart", "spacing"),
+    ),
+    "churn-waves": FaultPrimitive(
+        _build_churn_waves,
+        "repeated post-TS crash/restart waves over a minority (majority stays up)",
+        ("victims", "num_victims", "first_offset", "up_time", "down_time",
+         "waves", "stagger", "pre_ts_crash_fraction"),
+        post_ts_crashes=True,
+    ),
+}
 
-    for entry in (
-        NamedEnvironment("stable", _env_stable, "benign network, no faults"),
-        NamedEnvironment("drop-all", _env_drop_all, "all pre-TS messages lost"),
-        NamedEnvironment("worst-case", _env_worst_case,
-                         "pre-TS loss plus full-delta post-TS delays"),
-        NamedEnvironment("partitioned-chaos", _env_partitioned_chaos,
-                         "minority partitions, leaks past TS, pre-TS crashes"),
-        NamedEnvironment("lossy-chaos", _env_lossy_chaos,
-                         "random loss/delay/deferral/duplication before TS"),
-        NamedEnvironment("asymmetric-link", _env_asymmetric_link,
-                         "slow links to/from the post-TS coordinator"),
-        NamedEnvironment("gray-partition", _env_gray_partition,
-                         "partial partition healing gradually before TS"),
-        NamedEnvironment("churn", _env_churn,
-                         "post-TS restart waves while a majority stays up"),
-    ):
-        registry.register_environment(entry)
-
-
-_DEFAULT_REGISTRY: Optional[EnvironmentRegistry] = None
-
-
-def default_environment_registry() -> EnvironmentRegistry:
-    """The registry pre-populated with every built-in primitive and environment.
-
-    Cached: adversary and fault specs are resolved through it on every run,
-    so it is built once per process (it holds only immutable entries).
-    """
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        registry = EnvironmentRegistry()
-        _register_defaults(registry)
-        _DEFAULT_REGISTRY = registry
-    return _DEFAULT_REGISTRY
+# Name -> (factory, summary).  The factory's keyword defaults are the
+# defaults of the workloads built on that environment.
+ENVIRONMENTS: Dict[str, Tuple[EnvironmentFactory, str]] = {
+    "stable": (_env_stable, "benign network, no faults"),
+    "drop-all": (_env_drop_all, "all pre-TS messages lost"),
+    "worst-case": (_env_worst_case, "pre-TS loss plus full-delta post-TS delays"),
+    "partitioned-chaos": (_env_partitioned_chaos,
+                          "minority partitions, leaks past TS, pre-TS crashes"),
+    "lossy-chaos": (_env_lossy_chaos, "random loss/delay/deferral/duplication before TS"),
+    "asymmetric-link": (_env_asymmetric_link, "slow links to/from the post-TS coordinator"),
+    "gray-partition": (_env_gray_partition, "partial partition healing gradually before TS"),
+    "churn": (_env_churn, "post-TS restart waves while a majority stays up"),
+}

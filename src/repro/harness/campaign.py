@@ -26,10 +26,11 @@ tables.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.harness.comparison import experiment_e8_protocol_comparison
 from repro.harness.executors import Executor, make_executor
@@ -87,6 +88,41 @@ class CampaignResult:
                 target.close()
 
 
+# Per scale, each experiment and the sizes it runs at.
+_SIZES: Dict[str, Dict[str, Tuple[Callable[..., ExperimentTable], Dict[str, Any]]]] = {
+    "smoke": {
+        "E1": (experiment_e1_modified_paxos_scaling, {"ns": (3, 5), "seeds": (1,)}),
+        "E2": (experiment_e2_traditional_obsolete, {"ns": (5, 7), "seeds": (1,)}),
+        "E3": (experiment_e3_rotating_coordinator,
+               {"n": 7, "faulty_counts": (0, 2), "seeds": (1,)}),
+        "E4": (experiment_e4_modified_bconsensus, {"ns": (3, 5), "seeds": (1,)}),
+        "E5": (experiment_e5_restart_recovery, {"n": 5, "offsets": (5.0, 15.0), "seeds": (1,)}),
+        "E6": (experiment_e6_epsilon_tradeoff, {"n": 5, "epsilons": (0.25, 1.0), "seeds": (1,)}),
+        "E7": (experiment_e7_stable_case, {"n": 5, "seeds": (1,)}),
+        "E8": (experiment_e8_protocol_comparison, {"ns": (5,), "seeds": (1,)}),
+        "E9": (experiment_e9_smr_stable_case, {"n": 5, "stable_commands": 6, "chaos_commands": 3}),
+    },
+    "full": {
+        "E1": (experiment_e1_modified_paxos_scaling,
+               {"ns": (3, 5, 7, 9, 13, 17, 21, 25, 31), "seeds": (1, 2, 3)}),
+        "E2": (experiment_e2_traditional_obsolete,
+               {"ns": (5, 9, 13, 17, 21, 25, 31), "seeds": (1, 2)}),
+        "E3": (experiment_e3_rotating_coordinator,
+               {"n": 21, "faulty_counts": (0, 2, 4, 6, 8, 10), "seeds": (1, 2)}),
+        "E4": (experiment_e4_modified_bconsensus,
+               {"ns": (3, 5, 7, 9, 13, 17, 21), "seeds": (1, 2)}),
+        "E5": (experiment_e5_restart_recovery,
+               {"n": 9, "offsets": (5.0, 20.0, 40.0, 80.0), "seeds": (1, 2)}),
+        "E6": (experiment_e6_epsilon_tradeoff,
+               {"n": 9, "epsilons": (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0), "seeds": (1, 2)}),
+        "E7": (experiment_e7_stable_case, {"n": 9, "seeds": (1, 2, 3)}),
+        "E8": (experiment_e8_protocol_comparison, {"ns": (5, 9, 15), "seeds": (1,)}),
+        "E9": (experiment_e9_smr_stable_case,
+               {"n": 9, "stable_commands": 30, "chaos_commands": 10}),
+    },
+}
+
+
 def campaign_plan(
     scale: str = "full",
     executor: Optional[Executor] = None,
@@ -101,80 +137,16 @@ def campaign_plan(
     threaded into every experiment, so one parallel executor accelerates —
     and one store caches — the whole campaign.
     """
+    if scale not in _SIZES:
+        raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
     params = default_experiment_params()
-    ex, st, rs = executor, store, resume
-    if scale == "smoke":
-        return {
-            "E1": lambda: experiment_e1_modified_paxos_scaling(
-                ns=(3, 5), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E2": lambda: experiment_e2_traditional_obsolete(
-                ns=(5, 7), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E3": lambda: experiment_e3_rotating_coordinator(
-                n=7, faulty_counts=(0, 2), seeds=(1,), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E4": lambda: experiment_e4_modified_bconsensus(
-                ns=(3, 5), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E5": lambda: experiment_e5_restart_recovery(
-                n=5, offsets=(5.0, 15.0), seeds=(1,), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E6": lambda: experiment_e6_epsilon_tradeoff(
-                n=5, epsilons=(0.25, 1.0), seeds=(1,), base_params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E7": lambda: experiment_e7_stable_case(
-                n=5, seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E8": lambda: experiment_e8_protocol_comparison(
-                ns=(5,), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E9": lambda: experiment_e9_smr_stable_case(
-                n=5, stable_commands=6, chaos_commands=3, params=params, executor=ex,
-                store=st, resume=rs
-            ),
-        }
-    if scale == "full":
-        return {
-            "E1": lambda: experiment_e1_modified_paxos_scaling(
-                ns=(3, 5, 7, 9, 13, 17, 21, 25, 31), seeds=(1, 2, 3), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E2": lambda: experiment_e2_traditional_obsolete(
-                ns=(5, 9, 13, 17, 21, 25, 31), seeds=(1, 2), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E3": lambda: experiment_e3_rotating_coordinator(
-                n=21, faulty_counts=(0, 2, 4, 6, 8, 10), seeds=(1, 2), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E4": lambda: experiment_e4_modified_bconsensus(
-                ns=(3, 5, 7, 9, 13, 17, 21), seeds=(1, 2), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E5": lambda: experiment_e5_restart_recovery(
-                n=9, offsets=(5.0, 20.0, 40.0, 80.0), seeds=(1, 2), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E6": lambda: experiment_e6_epsilon_tradeoff(
-                n=9, epsilons=(0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0), seeds=(1, 2),
-                base_params=params, executor=ex, store=st, resume=rs
-            ),
-            "E7": lambda: experiment_e7_stable_case(
-                n=9, seeds=(1, 2, 3), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E8": lambda: experiment_e8_protocol_comparison(
-                ns=(5, 9, 15), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E9": lambda: experiment_e9_smr_stable_case(
-                n=9, stable_commands=30, chaos_commands=10, params=params, executor=ex,
-                store=st, resume=rs
-            ),
-        }
-    raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
+    plan: Dict[str, ExperimentFn] = {}
+    for name, (experiment, sizes) in _SIZES[scale].items():
+        kwargs = dict(sizes, executor=executor, store=store, resume=resume)
+        # E6 sweeps epsilon, so the timing constants are only its base.
+        kwargs["base_params" if name == "E6" else "params"] = params
+        plan[name] = functools.partial(experiment, **kwargs)
+    return plan
 
 
 def run_campaign(

@@ -11,13 +11,13 @@ entry in the table :data:`~repro.workloads.registry.WORKLOADS`; build one
 with ``default_workload_registry().create(name, n=..., ...)``.
 """
 
-from repro.workloads.environments import environment_scenario, resolve_environment
 from repro.workloads.registry import (
     SMR_WORKLOADS,
     WORKLOADS,
     ScenarioRegistry,
     WorkloadSpec,
     default_workload_registry,
+    environment_scenario,
     is_smr_workload,
 )
 from repro.workloads.scenario import Scenario
@@ -31,5 +31,4 @@ __all__ = [
     "default_workload_registry",
     "environment_scenario",
     "is_smr_workload",
-    "resolve_environment",
 ]

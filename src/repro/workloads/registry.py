@@ -26,12 +26,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.env.registry import default_environment_registry
+from repro.env.registry import ENVIRONMENTS, environment
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.environments import resolve_environment
 from repro.workloads.obsolete import obsolete_ballots
 from repro.workloads.scenario import Scenario
 
@@ -42,6 +41,7 @@ __all__ = [
     "WorkloadParameter",
     "WorkloadSpec",
     "default_workload_registry",
+    "environment_scenario",
     "is_smr_workload",
 ]
 
@@ -86,8 +86,7 @@ class WorkloadSpec:
         summary: One line for ``repro list-workloads``.
         scenario_name: ``str.format`` template over the fields; the result
             seeds the network's RNG fork, so it must stay stable.
-        environment: Named environment in
-            :func:`~repro.env.registry.default_environment_registry`, or
+        environment: Key of :data:`~repro.env.registry.ENVIRONMENTS`, or
             None when ``build`` supplies the environment.
         env_params: Parameters forwarded to the environment, in listing
             order; their defaults are the environment factory's.
@@ -125,7 +124,7 @@ class WorkloadSpec:
         """Listing order: n, required knobs, params, ts, seed, knobs, max_time."""
         defaults = {"params": None, "ts": None, "seed": 0, "max_time": None, **dict(self.params)}
         if self.environment is not None:
-            factory = default_environment_registry().entry(self.environment).factory
+            factory, _ = ENVIRONMENTS[self.environment]
             signature = inspect.signature(factory).parameters
             defaults.update((key, signature[key].default) for key in self.env_params)
         defaults.update(self.defaults)
@@ -168,7 +167,7 @@ class WorkloadSpec:
             # Below three processes a majority is everyone, so none may crash.
             fields["with_crashes"] = fields["with_crashes"] and n >= 3
         if self.environment is not None:
-            fields["environment"] = default_environment_registry().environment(
+            fields["environment"] = environment(
                 self.environment, **{key: fields[key] for key in self.env_params}
             )
         if self.build is not None:
@@ -176,16 +175,16 @@ class WorkloadSpec:
         horizon = self.horizon(fields) if callable(self.horizon) else self.horizon
         ts = fields["ts"]
         max_time = fields["max_time"] if fields["max_time"] is not None else ts + horizon * delta
-        environment = fields["environment"]
+        env = fields["environment"]
         return Scenario(
             name=self.scenario_name.format_map(fields),
             config=SimulationConfig(n=n, params=params, ts=ts, seed=fields["seed"],
                                     max_time=max_time),
-            environment=environment,
+            environment=env,
             initial_values=fields.get("initial_values"),
             post_setup=fields.get("post_setup"),
             expected_deciders=fields.get("expected_deciders"),
-            notes=environment.notes if self.notes is None else self.notes.format_map(fields),
+            notes=env.notes if self.notes is None else self.notes.format_map(fields),
         )
 
 
@@ -261,7 +260,17 @@ def _check_hub(fields: Fields) -> Fields:
 
 
 def _named_environment(fields: Fields) -> Fields:
-    spec = resolve_environment(fields["env"])
+    """Resolve ``env``: an EnvironmentSpec, a spec dict, or an environment name."""
+    spec = fields["env"]
+    if isinstance(spec, str):
+        spec = environment(spec)
+    elif isinstance(spec, Mapping):
+        spec = EnvironmentSpec.from_dict(spec)
+    elif not isinstance(spec, EnvironmentSpec):
+        raise ConfigurationError(
+            f"cannot resolve environment from {type(spec).__name__}; "
+            "pass an EnvironmentSpec, an environment name, or a spec dict"
+        )
     spec.validate()
     return {"environment": spec, "label": spec.name or "environment"}
 
@@ -611,3 +620,15 @@ def default_workload_registry() -> ScenarioRegistry:
     for spec in WORKLOADS:
         registry.register(spec)
     return registry
+
+
+def environment_scenario(
+    env: Union[EnvironmentSpec, Mapping[str, Any], str], *, n: int, **kwargs: Any
+) -> Scenario:
+    """The ``environment`` workload over ``env`` (a spec, a spec dict, or a name).
+
+    The other keyword arguments are the workload's: ``params``, ``ts``
+    (default ``10δ``), ``seed`` and ``max_time`` (default ``ts + 400δ``).
+    The scenario is named ``<env-name>-n<n>``.
+    """
+    return default_workload_registry().create("environment", env=env, n=n, **kwargs)

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.env.spec import EnvironmentSpec
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.env.registry import EnvironmentRegistry
 
 __all__ = ["Scenario"]
 
@@ -32,9 +29,6 @@ class Scenario:
         name: Short identifier used in tables and traces.
         config: The simulation configuration (n, timing constants, ts, seed).
         environment: Declarative environment the run instantiates.
-        environment_registry: Registry resolving the environment's adversary
-            and fault kinds; None uses the default registry.  Pass a custom
-            registry when the spec uses user-registered primitives.
         initial_values: Proposals per process; None lets the simulator use
             its defaults (distinct per-process values).
         post_setup: Optional hook run after the simulator is built but before
@@ -52,7 +46,6 @@ class Scenario:
     name: str
     config: SimulationConfig
     environment: EnvironmentSpec
-    environment_registry: Optional["EnvironmentRegistry"] = None
     initial_values: Optional[List[Any]] = None
     post_setup: Optional[PostSetupHook] = None
     expected_deciders: Optional[List[int]] = None
@@ -61,14 +54,13 @@ class Scenario:
     fault_plan: FaultPlan = field(init=False)
 
     def __post_init__(self) -> None:
-        registry = self.environment_registry
-        self.fault_plan = self.environment.build_fault_plan(self.config, registry)
-        if self.environment.allows_post_ts_crashes(registry):
+        self.fault_plan = self.environment.build_fault_plan(self.config)
+        if self.environment.allows_post_ts_crashes():
             self.allow_post_ts_crashes = True
 
     def build_network(self, config: SimulationConfig, rng: SeededRng) -> Network:
         """Build the environment's network (synchrony model + adversary)."""
-        return self.environment.build_network(config, rng, self.environment_registry)
+        return self.environment.build_network(config, rng)
 
     def build_simulator(self, builder: Any, *, record_envelopes: bool = True) -> Simulator:
         """Set up one run of ``builder``'s protocol under this scenario.

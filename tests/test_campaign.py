@@ -1,10 +1,16 @@
 """Tests for the campaign runner (`repro.harness.campaign`) at smoke scale."""
 
+import importlib
 import os
 
 import pytest
 
 from repro.harness.campaign import campaign_plan, run_campaign, write_report
+from repro.harness.executors import SerialExecutor
+from repro.harness.experiments import default_experiment_params
+from repro.results.store import MemoryStore
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestPlan:
@@ -15,6 +21,26 @@ class TestPlan:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
             campaign_plan("enormous")
+
+    @pytest.mark.parametrize("scale", ["smoke", "full"])
+    def test_plan_matches_the_benchmark_sizes(self, scale, monkeypatch):
+        """perfbench's CAMPAIGN_SIZES at seed 0 is exactly campaign_plan(scale)."""
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        bench_workloads = importlib.import_module("bench_workloads")
+        executor, store = SerialExecutor(), MemoryStore()
+        plan = campaign_plan(scale, executor=executor, store=store, resume=True)
+        bench_plan = bench_workloads.campaign_plan_for(scale, 0, executor, store, True)
+        sizes = bench_workloads.CAMPAIGN_SIZES[scale]
+        assert list(plan) == list(sizes) == list(bench_plan)
+        for name, (experiment, kwargs) in sizes.items():
+            call = plan[name]
+            assert call.func is experiment is bench_plan[name].func
+            params = "base_params" if name == "E6" else "params"
+            assert call.keywords == dict(
+                kwargs, executor=executor, store=store, resume=True,
+                **{params: default_experiment_params()},
+            )
+            assert call.keywords == bench_plan[name].keywords
 
 
 class TestRun:

@@ -17,8 +17,7 @@ from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.runner import run_scenario
 from repro.net.message import Era
 from repro.sim.rng import SeededRng
-from repro.workloads.environments import environment_scenario, resolve_environment
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import default_workload_registry, environment_scenario
 
 from tests.helpers import make_params, make_scenario
 
@@ -196,8 +195,8 @@ class TestEnvironmentWorkload:
         assert result.decided_all
 
     def test_resolve_environment_rejects_other_types(self):
-        with pytest.raises(ConfigurationError):
-            resolve_environment(42)
+        with pytest.raises(ConfigurationError, match="cannot resolve environment"):
+            environment_scenario(42, n=3)
 
     def test_outcome_carries_resolved_spec(self):
         scenario = environment_scenario("churn", n=5, params=PARAMS, seed=4)
@@ -305,6 +304,31 @@ class TestCli:
         exit_code = main(["run", "--env", env, "--n", "3", "--seed", "1"])
         assert exit_code == 0
         assert "decided" in capsys.readouterr().out
+
+    def test_run_with_bad_fault_pid_fails_cleanly(self, capsys):
+        env = json.dumps({
+            "adversary": {"kind": "drop-all"},
+            "faults": {"kind": "crash-forever", "params": {"pids": [7], "time": 1.0}},
+        })
+        exit_code = main(["run", "--env", env, "--n", "5"])
+        assert exit_code == 2
+        assert "unknown pid 7" in capsys.readouterr().out
+
+    def test_run_with_out_of_range_hub_fails_cleanly(self, capsys):
+        env = json.dumps({"adversary": {"kind": "asymmetric-link", "params": {"hub": 9}}})
+        exit_code = main(["run", "--env", env, "--n", "5", "--seed", "1"])
+        assert exit_code == 2
+        assert "pid 9" in capsys.readouterr().out
+
+    def test_environment_workload_takes_env(self, capsys):
+        argv = ["run", "--workload", "environment", "--env", "drop-all", "--n", "3", "--seed", "1"]
+        assert main(argv) == 0
+        assert "decided" in capsys.readouterr().out
+
+    def test_environment_workload_without_env_names_the_flag(self, capsys):
+        exit_code = main(["run", "--workload", "environment", "--n", "3"])
+        assert exit_code == 2
+        assert "--env" in capsys.readouterr().out
 
     def test_run_with_unknown_environment_fails_cleanly(self, capsys):
         exit_code = main(["run", "--env", "atlantis", "--n", "3"])

@@ -1,15 +1,17 @@
 """Unit tests for the declarative environment layer (`repro.env`)."""
 
 import json
+import re
 
 import pytest
 
 from repro.env.registry import (
+    ADVERSARIES,
+    ENVIRONMENTS,
+    FAULTS,
     AdversaryPrimitive,
-    EnvironmentRegistry,
     FaultPrimitive,
-    NamedEnvironment,
-    default_environment_registry,
+    environment,
 )
 from repro.env.spec import (
     AdversarySpec,
@@ -142,6 +144,14 @@ class TestPartitionDecl:
         spec = decl.materialize(3, SeededRng(0))
         assert spec.connected(0, 1) and not spec.connected(0, 2)
 
+    def test_explicit_groups_reject_pids_outside_the_run(self):
+        decl = PartitionDecl(mode="explicit", groups=[[0, 1], [2, 9]])
+        with pytest.raises(ConfigurationError, match="pid 9.*n=5"):
+            decl.materialize(5, SeededRng(0))
+        spec = AdversarySpec("partition", {"partition": decl.to_dict()})
+        with pytest.raises(ConfigurationError, match="pid 9.*n=5"):
+            spec.build(make_config(n=5), SeededRng(1))
+
     def test_explicit_requires_groups(self):
         with pytest.raises(ConfigurationError):
             PartitionDecl(mode="explicit")
@@ -186,6 +196,21 @@ class TestAdversaryBuilding:
         spec = AdversarySpec("benign", inner=AdversarySpec("drop-all"))
         with pytest.raises(ConfigurationError, match="does not wrap"):
             spec.build(make_config(), SeededRng(1))
+
+    @pytest.mark.parametrize(
+        "params, pid",
+        [({"hub": 9}, "9"), ({"hub": -1}, "-1"), ({"links": [[0, 7]]}, "7"),
+         ({"hub": "x"}, "'x'")],
+        ids=["hub-9", "hub-minus-1", "link-to-7", "hub-not-an-int"],
+    )
+    def test_asymmetric_link_rejects_pids_outside_the_run(self, params, pid):
+        spec = AdversarySpec("asymmetric-link", params)
+        with pytest.raises(ConfigurationError, match=re.escape(f"pid {pid}, ") + ".*n=5"):
+            spec.build(make_config(n=5), SeededRng(1))
+
+    def test_asymmetric_link_accepts_every_pid_of_the_run(self):
+        for params in ({"hub": 4}, {"links": [[0, 4], [4, 0]]}):
+            AdversarySpec("asymmetric-link", params).build(make_config(n=5), SeededRng(1))
 
     def test_deferring_partition_requires_partition_shaped_inner(self):
         spec = AdversarySpec("deferring-partition", inner=AdversarySpec("drop-all"))
@@ -253,34 +278,17 @@ class TestFaultBuilding:
 
 class TestEnvironmentRegistry:
     def test_default_registry_has_the_new_families(self):
-        registry = default_environment_registry()
         for name in ("asymmetric-link", "gray-partition", "churn"):
-            assert name in registry
+            assert name in ENVIRONMENTS
 
     def test_named_environments_validate(self):
-        registry = default_environment_registry()
-        for name in registry.names():
-            spec = registry.environment(name)
+        for name in ENVIRONMENTS:
+            spec = environment(name)
             assert EnvironmentSpec.from_json(spec.to_json()) == spec
 
     def test_unknown_environment_lists_alternatives(self):
         with pytest.raises(ConfigurationError, match="available:"):
-            default_environment_registry().environment("atlantis")
-
-    def test_double_registration_rejected(self):
-        registry = EnvironmentRegistry()
-        entry = NamedEnvironment("x", lambda: EnvironmentSpec(adversary=AdversarySpec("benign")))
-        registry.register_environment(entry)
-        with pytest.raises(ConfigurationError):
-            registry.register_environment(entry)
-        primitive = AdversaryPrimitive("k", lambda *a: DropAllAdversary())
-        registry.register_adversary(primitive)
-        with pytest.raises(ConfigurationError):
-            registry.register_adversary(primitive)
-        fault = FaultPrimitive("f", lambda *a: None)
-        registry.register_faults(fault)
-        with pytest.raises(ConfigurationError):
-            registry.register_faults(fault)
+            environment("atlantis")
 
     def test_validate_environment_checks_nested_params(self):
         spec = EnvironmentSpec(
@@ -292,7 +300,7 @@ class TestEnvironmentRegistry:
             spec.validate()
 
     def test_describe_mentions_chain_and_faults(self):
-        spec = default_environment_registry().environment("churn")
+        spec = environment("churn")
         text = spec.describe()
         assert "drop-all" in text and "churn-waves" in text
 
@@ -320,40 +328,36 @@ class TestEnvironmentBuildDeterminism:
         assert adversary.spec == legacy_spec
         assert adversary.leak_max_delay == config.ts + 2.0 * config.params.delta
 
-    def test_custom_registry_threads_through_scenario(self):
-        """A spec using user-registered primitives runs via Scenario."""
+    def test_custom_primitives_thread_through_scenario(self, monkeypatch):
+        """A spec using user-defined primitives runs via Scenario."""
+        from repro.faults.plan import FaultPlan
         from repro.workloads.scenario import Scenario
 
-        registry = EnvironmentRegistry()
-        registry.register_adversary(
-            AdversaryPrimitive(
-                "my-benign",
-                lambda config, rng, params, inner: BenignAdversary(config.params.delta),
-            )
-        )
-        registry.register_faults(
-            FaultPrimitive(
-                "my-churn",
-                lambda config, params: __import__("repro.faults.plan", fromlist=["FaultPlan"])
-                .FaultPlan()
-                .crash(0, config.ts + 1.0)
-                .restart(0, config.ts + 2.0),
-                post_ts_crashes=True,
-            )
-        )
         spec = EnvironmentSpec(
             adversary=AdversarySpec("my-benign"), faults=FaultSpec("my-churn")
         )
-        # The default registry does not know these kinds ...
+        # The tables do not know these kinds ...
         with pytest.raises(ConfigurationError, match="unknown"):
             Scenario(name="custom", config=make_config(n=3), environment=spec)
-        # ... but a scenario carrying the custom registry builds and resolves.
-        scenario = Scenario(
-            name="custom",
-            config=make_config(n=3),
-            environment=spec,
-            environment_registry=registry,
+        # ... until they are inserted, after which a scenario builds and resolves.
+        monkeypatch.setitem(
+            ADVERSARIES,
+            "my-benign",
+            AdversaryPrimitive(
+                lambda config, rng, params, inner: BenignAdversary(config.params.delta)
+            ),
         )
+        monkeypatch.setitem(
+            FAULTS,
+            "my-churn",
+            FaultPrimitive(
+                lambda config, params: FaultPlan()
+                .crash(0, config.ts + 1.0)
+                .restart(0, config.ts + 2.0),
+                post_ts_crashes=True,
+            ),
+        )
+        scenario = Scenario(name="custom", config=make_config(n=3), environment=spec)
         assert scenario.allow_post_ts_crashes
         assert len(scenario.fault_plan) == 2
         network = scenario.build_network(scenario.config, SeededRng(1, label="net"))
@@ -363,7 +367,6 @@ class TestEnvironmentBuildDeterminism:
         """The named environments are the same specs the workloads resolve."""
         from repro.workloads.registry import default_workload_registry
 
-        registry = default_environment_registry()
         workloads = default_workload_registry()
         for name, kwargs in (
             ("stable", {"n": 5}),
@@ -373,17 +376,15 @@ class TestEnvironmentBuildDeterminism:
             ("gray-partition", {"n": 5}),
             ("churn", {"n": 5}),
         ):
-            assert workloads.create(name, **kwargs).environment == registry.environment(name)
-        for name, environment, overrides in (
+            assert workloads.create(name, **kwargs).environment == environment(name)
+        for name, env, overrides in (
             ("smr-stable", "stable", {}),
             ("smr-chaos", "partitioned-chaos", {}),
             ("smr-churn", "churn", {"waves": 2}),
             ("smr-gray-partition", "gray-partition", {}),
             ("smr-asymmetric-link", "asymmetric-link", {}),
         ):
-            assert workloads.create(name, n=5).environment == registry.environment(
-                environment, **overrides
-            )
+            assert workloads.create(name, n=5).environment == environment(env, **overrides)
 
     def test_environment_params_object_with_defaults(self):
         params = TimingParams()
