@@ -81,7 +81,7 @@ def _label_for(event: str, fields: dict) -> str:
 def extract_timelines(trace: TraceRecorder, n: int) -> Dict[int, ProcessTimeline]:
     """Fold the trace into one :class:`ProcessTimeline` per process."""
     timelines = {pid: ProcessTimeline(pid=pid) for pid in range(n)}
-    for record in trace.events:
+    for record in trace:
         category = _MILESTONE_EVENTS.get(record.event)
         if category is None or record.category != category or record.pid is None:
             continue

@@ -7,6 +7,8 @@ processes ``emit`` (session and round entries, phase 2a proposals, SMR
 command milestones, ...).  :data:`TRACE_EVENTS` declares every event the
 code records, with its fields.  Post-hoc analysis — invariant checks,
 metrics, restart lags, SMR command latencies, timelines — reads only these.
+Every simulation keeps its trace: it cannot be switched off or capped, so a
+run's records and checks never depend on a tracing setting.
 
 Individual messages and timer firings are not traced.  The per-message
 record is the network's envelope log
@@ -112,30 +114,11 @@ class TraceEvent:
     pid: Optional[int] = None
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        where = f"p{self.pid}" if self.pid is not None else "--"
-        payload = " ".join(f"{key}={value!r}" for key, value in sorted(self.fields.items()))
-        return f"[{self.time:10.4f}] {self.category:8s} {where:>4s} {self.event:18s} {payload}"
-
 
 class TraceRecorder:
-    """Append-only store of :class:`TraceEvent` records.
+    """Append-only, unbounded store of :class:`TraceEvent` records."""
 
-    Args:
-        enabled: When False, ``record`` becomes a no-op.  The simulator and
-            node call sites check :attr:`enabled` *before* calling
-            :meth:`record`, so a disabled run never builds the
-            keyword-argument dict.  The trace invariants
-            cannot see anything then and report a violation.
-        capacity: Optional hard cap on stored events; older events are never
-            evicted — recording simply stops and ``truncated`` becomes True.
-            The trace invariants report a truncated trace as a violation.
-    """
-
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
-        self.truncated = False
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
 
     def __len__(self) -> int:
@@ -143,10 +126,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
 
     def record(
         self,
@@ -156,14 +135,9 @@ class TraceRecorder:
         pid: Optional[int] = None,
         **fields: Any,
     ) -> None:
-        """Append one event (no-op when disabled or over capacity)."""
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self.truncated = True
-            return
+        """Append one event; ``fields`` is already a fresh dict, so it is kept as is."""
         self._events.append(
-            TraceEvent(time=time, category=category, event=event, pid=pid, fields=dict(fields))
+            TraceEvent(time=time, category=category, event=event, pid=pid, fields=fields)
         )
 
     # -- queries -------------------------------------------------------------
@@ -187,24 +161,3 @@ class TraceRecorder:
                 continue
             selected.append(record)
         return selected
-
-    def first(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
-        """Earliest event with the given name (and optional pid/category)."""
-        matches = self.filter(event=event, **criteria)
-        return matches[0] if matches else None
-
-    def last(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
-        """Latest event with the given name (and optional pid/category)."""
-        matches = self.filter(event=event, **criteria)
-        return matches[-1] if matches else None
-
-    def count(self, event: str, **criteria: Any) -> int:
-        return len(self.filter(event=event, **criteria))
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering of (a prefix of) the trace."""
-        events = self._events if limit is None else self._events[:limit]
-        lines = [record.describe() for record in events]
-        if limit is not None and len(self._events) > limit:
-            lines.append(f"... ({len(self._events) - limit} more events)")
-        return "\n".join(lines)

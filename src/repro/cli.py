@@ -316,7 +316,6 @@ def _command_run(args: argparse.Namespace) -> int:
         scenario = _build_workload(
             default_workload_registry(), workload, args.n, params, args.ts, args.seed, args.env
         )
-        # Building the run checks the fault plan against n (e.g. unknown pids).
         result = run_scenario(
             scenario,
             protocol,

@@ -21,13 +21,17 @@ Kernels deliberately exercise *disjoint* layers:
 
 ``event_loop``
     A single self-rescheduling event — no messages, no timers.  Measures the
-    queue push / pop-dispatch cycle and nothing else; the trace-disabled
-    variant is the headline "events/sec" number.
+    queue push / pop-dispatch cycle and nothing else; it is the headline
+    "events/sec" number.  The kernel name ``event_loop_trace_off`` predates
+    the always-on trace and is kept as the artifact key the gate compares.
 ``network``
     Nine processes flooding broadcasts on a short timer.  Measures the full
-    send → fate → schedule → deliver path (envelopes/sec); variants toggle
-    tracing and the per-envelope log.  Messages and timer firings are not
-    traced, so the two variants differ only by the envelope log.
+    send → fate → schedule → deliver path (envelopes/sec).  Every run keeps
+    its semantic trace, and messages and timer firings are not traced, so the
+    two variants differ only by the per-envelope log: ``network_trace_off``
+    runs without it and ``network_trace_on_logged`` with it.  Both names
+    predate the always-on trace and are kept as the artifact keys the gate
+    compares.
 ``event_queue``
     Raw ``EventQueue`` push/pop without a simulator.
 ``trace_record``
@@ -136,17 +140,12 @@ class _GossipProcess(Process):
         self.ctx.set_timer("tick", 0.5)
 
 
-def kernel_event_loop(
-    trace_enabled: bool = False, events: int = 200_000, repeats: int = 5
-) -> Dict[str, Any]:
+def kernel_event_loop(events: int = 200_000, repeats: int = 5) -> Dict[str, Any]:
     """Pure scheduling chain: one self-rescheduling event, no messages."""
     params = TimingParams(delta=1.0, rho=0.0, epsilon=0.5)
 
     def run() -> Tuple[float, Dict[str, Any]]:
-        config = SimulationConfig(
-            n=1, params=params, ts=0.0, seed=1,
-            max_time=float(events), trace_enabled=trace_enabled,
-        )
+        config = SimulationConfig(n=1, params=params, ts=0.0, seed=1, max_time=float(events))
         network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
         sim = Simulator(config, lambda pid: _IdleProcess(), network)
         fired = 0
@@ -169,7 +168,6 @@ def kernel_event_loop(
 
 
 def kernel_network(
-    trace_enabled: bool = False,
     record_envelopes: bool = False,
     n: int = 9,
     max_time: float = 60.0,
@@ -179,10 +177,7 @@ def kernel_network(
     params = TimingParams(delta=1.0, rho=0.0, epsilon=0.5)
 
     def run() -> Tuple[float, Dict[str, Any]]:
-        config = SimulationConfig(
-            n=n, params=params, ts=0.0, seed=1,
-            max_time=max_time, trace_enabled=trace_enabled,
-        )
+        config = SimulationConfig(n=n, params=params, ts=0.0, seed=1, max_time=max_time)
         network = Network(
             model=EventualSynchrony(ts=0.0, delta=1.0),
             rng=SeededRng(1),
@@ -228,7 +223,7 @@ def kernel_trace(records: int = 200_000, repeats: int = 5) -> Dict[str, Any]:
     """TraceRecorder.record throughput with realistic payloads."""
 
     def run() -> Tuple[float, Dict[str, Any]]:
-        recorder = TraceRecorder(enabled=True)
+        recorder = TraceRecorder()
         start = time.perf_counter()
         for i in range(records):
             recorder.record(
@@ -409,12 +404,12 @@ def run_bench(quick: bool = False, label: str = "") -> Dict[str, Any]:
         smr_runs, smr_commands = 4, 20
 
     kernels = {
-        "event_loop_trace_off": kernel_event_loop(False, events=loop_events, repeats=repeats),
+        "event_loop_trace_off": kernel_event_loop(events=loop_events, repeats=repeats),
         "network_trace_off": kernel_network(
-            False, record_envelopes=False, max_time=net_time, repeats=repeats
+            record_envelopes=False, max_time=net_time, repeats=repeats
         ),
         "network_trace_on_logged": kernel_network(
-            True, record_envelopes=True, max_time=net_time, repeats=repeats
+            record_envelopes=True, max_time=net_time, repeats=repeats
         ),
         "event_queue": kernel_event_queue(n_events=queue_events, repeats=repeats),
         "trace_record": kernel_trace(records=trace_records, repeats=repeats),

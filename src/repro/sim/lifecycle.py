@@ -98,9 +98,7 @@ class Node:
         if self.process is not None:
             self.process.on_stop()
         self.process = None
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(self.simulator.now(), "node", "crash", pid=self.pid)
+        self.simulator.trace.record(self.simulator.now(), "node", "crash", pid=self.pid)
 
     def restart(self) -> None:
         """Restart after a crash with a fresh protocol instance and old storage."""
@@ -119,11 +117,9 @@ class Node:
         context = self._build_context()
         self.process.bind(context)
         event = "restart" if restarting else "start"
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(
-                self.simulator.now(), "node", event, pid=self.pid, incarnation=self.incarnation
-            )
+        self.simulator.trace.record(
+            self.simulator.now(), "node", event, pid=self.pid, incarnation=self.incarnation
+        )
         self.process.on_start()
 
     # -- interaction with the simulator ----------------------------------------
@@ -175,6 +171,4 @@ class Node:
         self.simulator.record_decision(self.pid, value, self.incarnation)
 
     def _emit(self, event: str, fields: dict) -> None:
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(self.simulator.now(), "protocol", event, pid=self.pid, **fields)
+        self.simulator.trace.record(self.simulator.now(), "protocol", event, pid=self.pid, **fields)

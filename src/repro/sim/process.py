@@ -131,7 +131,7 @@ class ProcessContext:
 
     def emit(self, event: str, **fields: Any) -> None:
         """Emit a structured trace record (protocol-specific diagnostics)."""
-        self._emit(event, dict(fields))
+        self._emit(event, fields)
 
 
 class Process(abc.ABC):

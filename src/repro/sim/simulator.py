@@ -47,8 +47,6 @@ class SimulationConfig:
             network model and by the analysis).
         seed: Root random seed; every stream is derived from it.
         max_time: Hard stop for the event loop.
-        trace_enabled: Whether to keep a structured trace.
-        trace_capacity: Optional cap on trace size for long benchmark runs.
     """
 
     n: int
@@ -56,8 +54,6 @@ class SimulationConfig:
     ts: float = 0.0
     seed: int = 0
     max_time: float = 10_000.0
-    trace_enabled: bool = True
-    trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -93,9 +89,7 @@ class Simulator:
     ) -> None:
         self.config = config
         self.network = network
-        self.trace = TraceRecorder(
-            enabled=config.trace_enabled, capacity=config.trace_capacity
-        )
+        self.trace = TraceRecorder()
         self.rng = SeededRng(config.seed, label="sim")
         self._events = EventQueue()
         self._time = 0.0
@@ -200,8 +194,7 @@ class Simulator:
         record = DecisionRecord(pid=pid, value=value, time=self._time, incarnation=incarnation)
         self.all_decisions.append(record)
         self.decisions.setdefault(pid, record)
-        if self.trace.enabled:
-            self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
+        self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
         awaited = self._awaited
         if awaited and pid in awaited:
             awaited.discard(pid)

@@ -39,8 +39,9 @@ class Scenario:
             assumption when validating the fault plan (set automatically for
             churn environments).
         notes: Free-form description used in reports.
-        fault_plan: Crash/restart schedule built from ``environment``
-            (validated against the config when the simulator is built).
+        fault_plan: Crash/restart schedule built from ``environment``,
+            validated against the config at construction and again when the
+            simulator is built.
     """
 
     name: str
@@ -57,6 +58,13 @@ class Scenario:
         self.fault_plan = self.environment.build_fault_plan(self.config)
         if self.environment.allows_post_ts_crashes():
             self.allow_post_ts_crashes = True
+        self._validate_fault_plan()
+
+    def _validate_fault_plan(self) -> None:
+        config = self.config
+        self.fault_plan.validate(
+            config.n, ts=config.ts, allow_post_ts_crashes=self.allow_post_ts_crashes
+        )
 
     def build_network(self, config: SimulationConfig, rng: SeededRng) -> Network:
         """Build the environment's network (synchrony model + adversary)."""
@@ -80,9 +88,9 @@ class Scenario:
             initial_values=self.initial_values,
         )
         builder.attach(simulator)
-        self.fault_plan.validate(
-            config.n, ts=config.ts, allow_post_ts_crashes=self.allow_post_ts_crashes
-        )
+        # Checked again here: ``fault_plan`` is a public field that callers
+        # may replace after construction.
+        self._validate_fault_plan()
         self.fault_plan.apply(simulator)
         if self.post_setup is not None:
             self.post_setup(simulator)

@@ -105,12 +105,12 @@ class TestKernels:
     """Tiny-sized sanity runs: every kernel reports a positive rate."""
 
     def test_event_loop_kernel(self):
-        stats = kernel_event_loop(False, events=2_000, repeats=1)
+        stats = kernel_event_loop(events=2_000, repeats=1)
         assert stats["events"] == 2_000
         assert stats["events_per_sec"] > 0
 
     def test_network_kernel_counts_envelopes(self):
-        stats = kernel_network(False, record_envelopes=False, max_time=5.0, repeats=1)
+        stats = kernel_network(record_envelopes=False, max_time=5.0, repeats=1)
         assert stats["envelopes"] > 0
         assert stats["envelopes_per_sec"] > 0
 

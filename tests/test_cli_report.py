@@ -1,5 +1,7 @@
 """Tests for the CLI (`repro.cli`) and the run report renderer (`repro.analysis.report`)."""
 
+import re
+
 import pytest
 
 from repro.analysis.report import render_run_report
@@ -110,6 +112,42 @@ class TestCliCommands:
         output = capsys.readouterr().out
         assert "per-process timeline:" in output
         assert "entered session" in output
+
+    def test_run_smr_with_timeline(self, capsys):
+        exit_code = main(
+            ["run", "--workload", "smr-stable", "--n", "5", "--commands", "3", "--timeline"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "per-process timeline:" in output
+        assert re.search(r"sent phase 2a for ballot \d+ slot \d+", output)
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_every_workload_runs_with_a_timeline(self, workload, capsys):
+        # The same runs as CI's results-smoke loop: each workload's real trace
+        # goes through timeline extraction and rendering.
+        if workload.startswith("smr-"):
+            args = ["--workload", workload, "--commands", "3"]
+        elif workload == "environment":
+            args = ["--workload", "environment", "--env", "churn"]
+        else:
+            args = ["--workload", workload]
+        assert main(["run", *args, "--n", "5", "--seed", "1", "--timeline"]) == 0
+        report, timeline = capsys.readouterr().out.split("per-process timeline:\n")
+        blocks = dict(
+            (int(block[0]), block[1].strip())
+            for block in re.findall(r"^p(\d+):\n((?:  .*\n?)*)", timeline, flags=re.M)
+        )
+        assert sorted(blocks) == list(range(5))
+        # The trace is on from boot: every process's timeline opens with its start.
+        assert all(re.match(r"0\.000  start\b", lines) for lines in blocks.values())
+        if workload.startswith("smr-"):
+            assert re.search(r"sent phase 2a for ballot \d+ slot \d+", timeline)
+        else:
+            # The timeline's deciders are the report's deciders.
+            reported = set(map(int, re.findall(r"^  p(\d+) +'", report, flags=re.M)))
+            assert reported
+            assert {pid for pid, lines in blocks.items() if "decided" in lines} == reported
 
     def test_run_baseline_workload(self, capsys):
         exit_code = main(

@@ -1,10 +1,8 @@
-"""Edge cases: degenerate system sizes, even N, extreme parameters, trace limits."""
+"""Edge cases: degenerate system sizes, even N, extreme parameters."""
 
 import pytest
 
-from repro.analysis.invariants import check_session_entry_rule
 from repro.core.timing import decision_bound
-from repro.errors import InvariantViolation
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 
@@ -100,51 +98,3 @@ class TestExtremeParameters:
         assert all(lag is not None and lag <= decision_bound(params) for lag in lags.values())
         assert abs(lags[40.0] - lags[5.0]) <= 6.0
 
-
-class TestTraceLimits:
-    def test_trace_capacity_truncates_but_run_completes(self):
-        from repro.net.network import Network
-        from repro.net.synchrony import EventualSynchrony
-        from repro.sim.rng import SeededRng
-        from repro.sim.simulator import SimulationConfig, Simulator
-        from repro.core.modified_paxos import ModifiedPaxosBuilder
-
-        params = make_params()
-        config = SimulationConfig(
-            n=3, params=params, ts=0.0, seed=1, max_time=50.0, trace_capacity=5
-        )
-        builder = ModifiedPaxosBuilder()
-        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
-        simulator = Simulator(config, builder.create, network)
-        builder.attach(simulator)
-        simulator.run_until_decided()
-        assert simulator.trace.truncated
-        assert len(simulator.trace) == 5
-        assert len(simulator.decisions) == 3
-        report = check_session_entry_rule(simulator.trace, 3)
-        assert not report.ok
-        assert report.violations[0].startswith("trace truncated after 5 events")
-
-    @staticmethod
-    def _untraced_scenario():
-        params = make_params()
-        scenario = make_scenario("stable", n=3, params=params, seed=2)
-        scenario.config = type(scenario.config)(
-            n=3, params=params, ts=0.0, seed=2, max_time=scenario.config.max_time,
-            trace_enabled=False,
-        )
-        return scenario
-
-    def test_trace_disabled_fails_the_invariants(self):
-        with pytest.raises(InvariantViolation, match="trace disabled"):
-            run_scenario(self._untraced_scenario(), "modified-paxos")
-
-    def test_trace_disabled_still_runs(self):
-        result = run_scenario(
-            self._untraced_scenario(), "modified-paxos", enforce_invariants=False
-        )
-        assert result.decided_all
-        assert len(result.simulator.trace) == 0
-        report = result.invariants["session-entry-rule"]
-        assert not report.ok and report.checked == 0
-        assert report.violations == ["trace disabled: the check saw no events"]

@@ -194,6 +194,18 @@ class TestEnvironmentWorkload:
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
 
+    @pytest.mark.parametrize("build", [
+        lambda env: environment_scenario(env, n=5),
+        lambda env: default_workload_registry().create("environment", env=env, n=5),
+    ], ids=["environment_scenario", "create"])
+    def test_bad_fault_pid_rejected_when_the_scenario_is_built(self, build):
+        env = {
+            "adversary": {"kind": "drop-all"},
+            "faults": {"kind": "crash-forever", "params": {"pids": [7], "time": 1.0}},
+        }
+        with pytest.raises(ConfigurationError, match="unknown pid 7"):
+            build(env)
+
     def test_resolve_environment_rejects_other_types(self):
         with pytest.raises(ConfigurationError, match="cannot resolve environment"):
             environment_scenario(42, n=3)
@@ -278,8 +290,15 @@ class TestBuildSimulator:
             adversary=AdversarySpec("benign"),
             faults=FaultSpec("crash-forever", {"pids": [0, 1], "time": 1.0}),
         )
-        scenario = Scenario(name="majority-down", config=config, environment=environment)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="majority"):
+            Scenario(name="majority-down", config=config, environment=environment)
+
+    def test_replaced_fault_plan_checked_when_the_run_is_set_up(self):
+        from repro.faults.plan import FaultPlan
+
+        scenario = environment_scenario("stable", n=3, params=PARAMS, seed=1)
+        scenario.fault_plan = FaultPlan().crash(7, 1.0)
+        with pytest.raises(ConfigurationError, match="unknown pid 7"):
             scenario.build_simulator(self.builder())
 
     def test_same_seed_gives_the_same_run(self):

@@ -11,8 +11,9 @@ from repro.analysis.invariants import (
 from repro.analysis.metrics import DecisionMetrics
 from repro.analysis.trace import TraceRecorder
 from repro.errors import InvariantViolation
+from repro.harness.runner import run_scenario
 
-from tests.helpers import make_scenario
+from tests.helpers import make_params, make_scenario
 
 
 class TestDecisionMetrics:
@@ -130,73 +131,95 @@ class TestPhase2aInvariants:
         assert not check_single_session_leadership(trace, n=3).ok
 
 
-ALL_TRACE_CHECKS = [
-    check_session_entry_rule,
-    check_rotating_round_entry,
-    check_unique_phase2a_value,
-    check_single_session_leadership,
-]
-
-
-class TestChecksThatCannotSeeTheirInput:
-    @pytest.mark.parametrize("check", ALL_TRACE_CHECKS)
-    def test_disabled_trace_is_a_violation(self, check):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, "protocol", "phase2a", pid=2, ballot=5, value="v")
-        report = check(trace, n=3)
-        assert report.checked == 0
-        assert report.violations == ["trace disabled: the check saw no events"]
-        with pytest.raises(InvariantViolation, match="trace disabled"):
-            report.raise_if_violated()
-
-    @pytest.mark.parametrize("check", ALL_TRACE_CHECKS)
-    def test_truncated_trace_is_a_violation(self, check):
-        trace = TraceRecorder(capacity=2)
-        for time in (1.0, 2.0, 3.0):
-            trace.record(time, "protocol", "phase2a", pid=2, ballot=5, value="v")
-        assert trace.truncated
-        report = check(trace, n=3)
-        assert report.violations[0] == (
-            "trace truncated after 2 events: the check saw only a prefix"
-        )
-
-    def test_truncated_trace_still_reports_what_it_saw(self):
-        trace = TraceRecorder(capacity=2)
-        trace.record(1.0, "protocol", "phase2a", pid=0, ballot=5, value="v")
-        trace.record(2.0, "protocol", "phase2a", pid=1, ballot=5, value="w")
-        trace.record(3.0, "protocol", "phase2a", pid=1, ballot=5, value="x")
-        report = check_unique_phase2a_value(trace, n=3)
-        assert report.checked == 1
-        assert len(report.violations) == 2
-        assert "2 different phase-2a values" in report.violations[1]
-
+class TestChecksWithNothingToCheck:
     def test_full_trace_with_nothing_to_check_passes(self):
         report = check_session_entry_rule(TraceRecorder(), n=3)
         assert report.ok and report.checked == 0
 
 
-class TestSmrSessionEntryRuleWithoutTrace:
-    def _untraced_scenario(self):
-        from dataclasses import replace
+def _premature_session_start(trace, n, end):
+    trace.record(end + 1.0, "protocol", "start_phase1", pid=0, ballot=1000 * n, session=1000)
 
-        scenario = make_scenario("smr-stable", n=3, seed=1)
-        scenario.config = replace(scenario.config, trace_enabled=False)
-        return scenario
 
-    def _schedule(self):
+def _premature_round_entry(trace, n, end):
+    trace.record(end + 1.0, "protocol", "round_enter", pid=0, round=1000, via="timeout")
+
+
+def _conflicting_phase2a(trace, n, end):
+    proposal = trace.filter(event="phase2a", category="protocol")[0]
+    ballot = proposal.fields["ballot"]
+    trace.record(end + 1.0, "protocol", "phase2a", pid=ballot % n, ballot=ballot, value="conflict")
+
+
+def _foreign_phase2a(trace, n, end):
+    proposal = trace.filter(event="phase2a", category="protocol")[0]
+    ballot = proposal.fields["ballot"]
+    trace.record(
+        end + 1.0, "protocol", "phase2a", pid=(ballot + 1) % n, ballot=ballot,
+        value=proposal.fields.get("value"),
+    )
+
+
+# Each trace check, a protocol whose partitioned-chaos run gives it events to
+# check, and a record that breaks the rule the check enforces.
+REAL_RUN_CASES = {
+    "session-entry-rule": (check_session_entry_rule, "modified-paxos", _premature_session_start),
+    "round-entry-rule": (check_rotating_round_entry, "rotating-coordinator", _premature_round_entry),
+    "unique-phase2a-value": (check_unique_phase2a_value, "traditional-paxos", _conflicting_phase2a),
+    "single-session-leadership": (
+        check_single_session_leadership, "modified-paxos", _foreign_phase2a
+    ),
+}
+
+
+class TestChecksOnRealRuns:
+    @pytest.mark.parametrize("name", sorted(REAL_RUN_CASES))
+    def test_check_reads_the_whole_run_trace(self, name):
+        check, protocol, break_rule = REAL_RUN_CASES[name]
+        scenario = make_scenario("partitioned-chaos", n=5, seed=1, params=make_params(rho=0.01))
+        result = run_scenario(scenario, protocol)
+        trace = result.simulator.trace
+        report = check(trace, n=5)
+        assert report.name == name
+        assert report.ok and report.checked > 0
+        # A record appended after the last event still reaches the check.
+        break_rule(trace, 5, result.simulator.now())
+        broken = check(trace, n=5)
+        assert not broken.ok
+        with pytest.raises(InvariantViolation, match=name):
+            broken.raise_if_violated()
+
+
+class TestSmrSessionEntryRule:
+    """The SMR runner checks the session-entry rule on the trace of the run itself."""
+
+    N = 5
+
+    def _run(self, monkeypatch, **kwargs):
+        from repro.smr.runner import run_smr
         from repro.smr.workload import ScheduleSpec
 
-        return ScheduleSpec(num_commands=2, start=10.0, interval=1.0).to_schedule(3)
+        # smr-churn at n=5, seed 1 starts one session >= 2.  The patch makes
+        # that start jump far past every session a majority has entered.
+        original = TraceRecorder.record
 
-    def test_smr_run_fails_loudly(self):
-        from repro.smr.runner import run_smr
+        def premature(self, time, category, event, pid=None, **fields):
+            if event == "start_phase1" and fields.get("session", 0) >= 2:
+                fields["session"] = 1000
+            original(self, time, category, event, pid, **fields)
 
-        with pytest.raises(InvariantViolation, match="trace disabled"):
-            run_smr(self._untraced_scenario(), self._schedule())
+        monkeypatch.setattr(TraceRecorder, "record", premature)
+        scenario = make_scenario("smr-churn", n=self.N, seed=1)
+        schedule = ScheduleSpec(num_commands=2, start=10.0, interval=1.0)
+        return run_smr(scenario, schedule.to_schedule(len(scenario.deciders())), **kwargs)
 
-    def test_smr_report_is_not_ok_when_not_enforced(self):
-        from repro.smr.runner import run_smr
+    def test_smr_run_fails_loudly_on_a_premature_start(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="session-entry-rule"):
+            self._run(monkeypatch)
 
-        result = run_smr(self._untraced_scenario(), self._schedule(), enforce_consistency=False)
+    def test_smr_report_is_not_ok_when_not_enforced(self, monkeypatch):
+        result = self._run(monkeypatch, enforce_consistency=False)
         report = result.invariants["session-entry-rule"]
-        assert not report.ok and report.checked == 0
+        assert report.checked == 1
+        assert not report.ok
+        assert "started session 1000" in report.violations[0]

@@ -179,9 +179,9 @@ class TestCrashAndRestart:
         sim.schedule_crash(2, 1.0)
         sim.schedule_restart(2, 2.0)
         sim.run(until=3.0)
-        assert sim.trace.count("crash", pid=2) == 1
-        assert sim.trace.count("restart", pid=2) == 1
-        assert sim.trace.count("start") == 3
+        assert len(sim.trace.filter(event="crash", pid=2)) == 1
+        assert len(sim.trace.filter(event="restart", pid=2)) == 1
+        assert len(sim.trace.filter(event="start")) == 3
 
 
 class TestScheduling:

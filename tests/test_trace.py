@@ -1,6 +1,9 @@
 """Unit tests for the structured trace (`repro.analysis.trace`)."""
 
-from repro.analysis.trace import TraceEvent, TraceRecorder
+import pytest
+
+from repro.analysis.trace import TraceRecorder
+from repro.sim.simulator import SimulationConfig
 
 
 class TestRecording:
@@ -10,25 +13,6 @@ class TestRecording:
         trace.record(2.0, "sim", "decide", pid=1, value="v")
         assert len(trace) == 2
         assert [event.event for event in trace] == ["send", "decide"]
-
-    def test_disabled_recorder_is_noop(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, "net", "send")
-        assert len(trace) == 0
-
-    def test_capacity_stops_recording_and_flags_truncation(self):
-        trace = TraceRecorder(capacity=2)
-        for i in range(5):
-            trace.record(float(i), "sim", "tick")
-        assert len(trace) == 2
-        assert trace.truncated is True
-
-    def test_events_returns_copy(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "sim", "tick")
-        events = trace.events
-        events.clear()
-        assert len(trace) == 1
 
 
 class TestQueries:
@@ -53,33 +37,21 @@ class TestQueries:
         )
         assert len(high_sessions) == 1
 
-    def test_first_and_last(self):
-        trace = self._populate()
-        assert trace.first("session_enter").pid == 0
-        assert trace.last("session_enter").pid == 1
-        assert trace.first("nonexistent") is None
-        assert trace.last("nonexistent") is None
 
-    def test_count(self):
-        trace = self._populate()
-        assert trace.count("session_enter") == 2
-        assert trace.count("crash", category="node") == 1
+class TestAlwaysOn:
+    """Every run keeps its whole trace: there is no setting that drops records."""
 
-    def test_dump_renders_and_limits(self):
-        trace = self._populate()
-        text = trace.dump(limit=2)
-        assert "session_enter" in text
-        assert "more events" in text
-        full = trace.dump()
-        assert "crash" in full
+    @pytest.mark.parametrize(
+        "setting", [{"enabled": False}, {"capacity": 2}], ids=["enabled", "capacity"]
+    )
+    def test_recorder_takes_no_settings(self, setting):
+        with pytest.raises(TypeError):
+            TraceRecorder(**setting)
 
-
-class TestTraceEvent:
-    def test_describe_contains_fields(self):
-        event = TraceEvent(time=1.5, category="protocol", event="decide", pid=3, fields={"v": 1})
-        text = event.describe()
-        assert "decide" in text and "p3" in text and "v=1" in text
-
-    def test_describe_without_pid(self):
-        event = TraceEvent(time=1.5, category="sim", event="tick")
-        assert "--" in event.describe()
+    @pytest.mark.parametrize(
+        "setting", [{"trace_enabled": False}, {"trace_capacity": 2}],
+        ids=["trace_enabled", "trace_capacity"],
+    )
+    def test_simulation_config_has_no_trace_settings(self, setting):
+        with pytest.raises(TypeError):
+            SimulationConfig(n=3, **setting)

@@ -85,7 +85,7 @@ class TestObsoleteScenario:
         # fixed-schedule release path; both paths trace each release.
         scenario = make_scenario("obsolete-ballots", n=7, params=make_params(), seed=1)
         result = run_scenario(scenario, protocol)
-        assert result.simulator.trace.count("obsolete_release") == 3
+        assert len(result.simulator.trace.filter(event="obsolete_release")) == 3
 
 
 class TestCoordinatorCrashScenario:
